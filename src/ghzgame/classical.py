@@ -9,13 +9,12 @@ score is an exact Gaussian integer.  Floats never enter any bound check.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Answer, GameConfig, Question, legitimate_bits
+from .core import Answer, GameConfig, Question, env_limit, legitimate_bits
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 #: beyond this the full set of optimal strategies is not materialized
@@ -23,7 +22,7 @@ OPTIMAL_SET_LIMIT = 6
 
 
 def exhaustive_limit() -> int:
-    return int(os.environ.get("GAME_EXHAUSTIVE_LIMIT", DEFAULT_EXHAUSTIVE_LIMIT))
+    return env_limit("GAME_EXHAUSTIVE_LIMIT", DEFAULT_EXHAUSTIVE_LIMIT)
 
 
 def classical_bound(n: int) -> Fraction:
@@ -124,18 +123,18 @@ def strategy_score(strat: DeterministicStrategy) -> StrategyScore:
     return StrategyScore(re, im, wins, losses)
 
 
-def exhaustive_best(cfg: GameConfig) -> tuple[Fraction, list[DeterministicStrategy]]:
+def exhaustive_best(cfg: GameConfig) -> tuple[Fraction, np.ndarray]:
     """Sweep all 4^n strategies; returns the best proportion and every maximizer.
 
-    Witnesses come back in increasing order of their packed code.
+    Maximizers come back as their packed codes, ascending, in an int64 array;
+    `DeterministicStrategy.from_code` unpacks one.
     """
     n = cfg.n
     if n > exhaustive_limit():
         raise ValueError(f"n={n} exceeds the exhaustive-search limit {exhaustive_limit()}")
     wins = win_count_table(n)
     best = int(wins.max())
-    witnesses = [DeterministicStrategy.from_code(n, int(c)) for c in np.nonzero(wins == best)[0]]
-    return Fraction(best, 1 << (n - 1)), witnesses
+    return Fraction(best, 1 << (n - 1)), np.flatnonzero(wins == best)
 
 
 #: optimal output pairs (player 1, players 2..n) keyed on n mod 8;
@@ -253,27 +252,32 @@ def pair_flip_map(strat: DeterministicStrategy) -> DeterministicStrategy:
 
 
 def win_count_table(n: int) -> np.ndarray:
-    """wins[code] over all 4^n packed strategy codes, via vectorized parity counting."""
-    codes = np.arange(1 << (2 * n), dtype=np.uint64)
-    wins = np.zeros(codes.size, dtype=np.int64)
-    for x in legitimate_bits(n):
-        target = (x.bit_count() >> 1) & 1
-        mask = _selector_mask(n, x)
-        parity = np.bitwise_count(codes & np.uint64(mask)) & 1
-        wins += parity == target
-    return wins
+    """wins[code] over all 4^n packed strategy codes, from the Gaussian-integer score.
 
-
-def _selector_mask(n: int, question_bits: int) -> int:
-    """Mask picking, for each player, the code bit its input selects.
-
-    The parity of code & mask is the parity of the strategy's answer.
+    Re(s) = wins - losses and wins + losses = 2^(n-1), so the table is one
+    Kronecker power of the per-pair factors, never a loop over questions.
     """
-    mask = 0
-    for i in range(1, n + 1):
-        j = (question_bits >> (n - i)) & 1
-        mask |= 1 << (2 * (n - i) + (1 - j))
-    return mask
+    # pair code (out0 << 1) | out1 -> sign(out0) + i*sign(out1)
+    score = gaussian_product_table([1, 1, -1, -1], [1, -1, 1, -1], n, np.int64)
+    return ((1 << (n - 1)) + score) // 2
+
+
+def gaussian_product_table(re, im, n: int, dtype) -> np.ndarray:
+    """Re of the product over n players of re[k_i] + i*im[k_i], for every digit string k.
+
+    Entry K belongs to the digit string k_1..k_n of K in base len(re), player 1
+    most significant.  Integer arithmetic in `dtype`, which must hold every
+    partial product: exact as long as it does.
+    """
+    fr = np.array(re, dtype=dtype)
+    fi = np.array(im, dtype=dtype)
+    table_re, table_im = fr, fi
+    for _ in range(n - 1):
+        table_re, table_im = (
+            (np.multiply.outer(table_re, fr) - np.multiply.outer(table_im, fi)).ravel(),
+            (np.multiply.outer(table_re, fi) + np.multiply.outer(table_im, fr)).ravel(),
+        )
+    return table_re
 
 
 def _answer_parity(strat: DeterministicStrategy, question_bits: int) -> int:

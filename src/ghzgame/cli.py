@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, classical, noise, quantum
-from .core import GameConfig, Question, enumerate_legitimate, target_parity
+from .core import GameConfig, Question, SettingError, enumerate_legitimate, target_parity
 
 DEFAULT_SEED = 42
 
@@ -40,15 +40,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, argv, parser)
-    started = time.perf_counter()
     try:
+        _apply_config_file(args, argv, parser)
+        started = time.perf_counter()
         report = args.handler(args)
-    except UsageError as exc:
+        elapsed = time.perf_counter() - started
+        _emit(report, args)
+    except (UsageError, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    elapsed = time.perf_counter() - started
-    _emit(report, args)
     print(f"[{report['command']}] completed in {elapsed:.2f}s", file=sys.stderr)
     if any(not c["ok"] for c in report.get("checks", [])):
         return CHECK_FAILED
@@ -115,23 +115,19 @@ def cmd_bound(args) -> dict:
 
 def cmd_search(args) -> dict:
     n = _require_n(args.n)
-    if n > classical.exhaustive_limit():
-        raise UsageError(
-            f"n={n} exceeds the exhaustive limit {classical.exhaustive_limit()} "
-            "(set GAME_EXHAUSTIVE_LIMIT to raise it); refusing to sample silently"
-        )
+    _require_within(n, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT")
     bound = classical.classical_bound(n)
-    best, witnesses = classical.exhaustive_best(GameConfig(n))
+    best, codes = classical.exhaustive_best(GameConfig(n))
     table1 = classical.table1_strategy(GameConfig(n))
     table1_prop = classical.success_proportion(table1)
     if args.witnesses:
-        _write_witness_csv(args.witnesses, witnesses)
+        _write_witness_csv(args.witnesses, codes, n)
     records = [
         {
             "n": n,
             "derivation": "exhaustive",
             "strategies_swept": 1 << (2 * n),
-            "witness_count": len(witnesses),
+            "witness_count": len(codes),
             **_fraction_fields("best_proportion", best),
             **_fraction_fields("table1_proportion", table1_prop),
             "table1_pairs": ["".join(map(str, pair)) for pair in table1.outputs],
@@ -179,8 +175,7 @@ def cmd_quantum(args) -> dict:
     ]
     checks = [_check("quantum_win_rate_is_one", wins == rounds)]
     if args.dense_check:
-        if n > quantum.dense_limit():
-            raise UsageError(f"n={n} exceeds the dense limit {quantum.dense_limit()}")
+        _require_within(n, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT")
         ok, questions_checked = _dense_consistency(cfg, rng)
         records.append(
             {
@@ -214,14 +209,10 @@ def cmd_noise(args) -> dict:
                 "bitflip_threshold": threshold,
             }
         )
-        for rec in noise.compare_report([n], p_grid=p_grid):
-            records.append(_comparison_record(rec, "p"))
-        flags_ok = all(
-            (rec.param > rec.threshold) == (rec.flag == "quantum-wins")
-            for rec in noise.compare_report([n], p_grid=p_grid)
-        )
+        grid = noise.compare_report([n], p_grid=p_grid)
+        records.extend(_comparison_record(rec, "p") for rec in grid)
         if p_grid:
-            checks.append(_check(f"threshold_flags_consistent_n{n}", flags_ok))
+            checks.append(_check(f"threshold_flags_consistent_n{n}", _flags_consistent(grid)))
         if args.trials > 0:
             for p in p_grid:
                 est = noise.bitflip_monte_carlo(n, noise.BitFlipModel(p), args.trials, rng)
@@ -248,6 +239,7 @@ def cmd_detect(args) -> dict:
     for eta in eta_grid:
         if not 0.0 <= eta <= 1.0:
             raise UsageError(f"efficiency eta={eta} outside [0, 1]")
+    _require_within(max(n_values), noise.extended_limit(), "no-output sweep", "GAME_EXTENDED_LIMIT")
     records = []
     checks = []
     for n in n_values:
@@ -259,27 +251,22 @@ def cmd_detect(args) -> dict:
                 "detection_threshold": noise.detection_threshold(n),
             }
         )
-        for rec in noise.compare_report([n], eta_grid=eta_grid):
-            records.append(_comparison_record(rec, "eta"))
+        grid = noise.compare_report([n], eta_grid=eta_grid)
+        records.extend(_comparison_record(rec, "eta") for rec in grid)
         if eta_grid:
-            flags_ok = all(
-                (rec.param > rec.threshold) == (rec.flag == "quantum-wins")
-                for rec in noise.compare_report([n], eta_grid=eta_grid)
-            )
-            checks.append(_check(f"threshold_flags_consistent_n{n}", flags_ok))
-        if n <= noise.extended_limit():
-            best, witnesses = noise.errorfree_exhaustive(GameConfig(n))
-            records.append(
-                {
-                    "kind": "errorfree",
-                    "n": n,
-                    "derivation": "exhaustive",
-                    "tables_swept": 9**n,
-                    "max_winnable": best,
-                    "witness_count": len(witnesses),
-                }
-            )
-            checks.append(_check(f"errorfree_max_is_two_n{n}", best == 2))
+            checks.append(_check(f"threshold_flags_consistent_n{n}", _flags_consistent(grid)))
+        best, codes = noise.errorfree_exhaustive(GameConfig(n))
+        records.append(
+            {
+                "kind": "errorfree",
+                "n": n,
+                "derivation": "exhaustive",
+                "tables_swept": 9**n,
+                "max_winnable": best,
+                "witness_count": len(codes),
+            }
+        )
+        checks.append(_check(f"errorfree_max_is_two_n{n}", best == 2))
     if args.csv:
         _write_grid_csv(args.csv, [r for r in records if r.get("kind") == "detection"])
     return _report("detect", args, records=records, checks=checks)
@@ -298,14 +285,14 @@ def cmd_report(args) -> dict:
         )
     for n in range(3, 7):
         bound = classical.classical_bound(n)
-        best, witnesses = classical.exhaustive_best(GameConfig(n))
+        best, codes = classical.exhaustive_best(GameConfig(n))
         table1_prop = classical.success_proportion(classical.table1_strategy(GameConfig(n)))
         records.append(
             {
                 "section": "search",
                 "n": n,
                 "derivation": "exhaustive",
-                "witness_count": len(witnesses),
+                "witness_count": len(codes),
                 **_fraction_fields("best_proportion", best),
             }
         )
@@ -381,7 +368,7 @@ def cmd_report(args) -> dict:
     )
     checks.append(_check("detection_threshold_n3", abs(d3 - 0.7937) <= 0.0001))
     for n in (3, 4):
-        best, _witnesses = noise.errorfree_exhaustive(GameConfig(n))
+        best, _codes = noise.errorfree_exhaustive(GameConfig(n))
         records.append(
             {
                 "section": "detection",
@@ -435,6 +422,10 @@ def _reference_wins_expected(n: int) -> bool:
     return won == {0, 0b11 << (n - 2)}
 
 
+def _flags_consistent(grid: list[noise.ComparisonRecord]) -> bool:
+    return all((rec.param > rec.threshold) == (rec.flag == "quantum-wins") for rec in grid)
+
+
 def _comparison_record(rec: noise.ComparisonRecord, param_name: str) -> dict:
     return {
         "kind": rec.kind,
@@ -454,6 +445,14 @@ def _require_n(n: int) -> int:
     if n < 3:
         raise UsageError(f"the game needs at least 3 players, got n={n}")
     return n
+
+
+def _require_within(n: int, limit: int, what: str, env: str) -> None:
+    if n > limit:
+        raise UsageError(
+            f"n={n} exceeds the {what} limit {limit} "
+            f"(set {env} to raise it); refusing to sample silently"
+        )
 
 
 def _parse_range(text: str) -> list[int]:
@@ -535,14 +534,22 @@ def _apply_config_file(args, argv: list[str], parser: argparse.ArgumentParser) -
         with open(args.config) as fh:
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file {args.config!r}: {exc}")
+        raise UsageError(f"cannot read config file {args.config!r}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config file {args.config!r} must hold a JSON object")
+    command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in command.choices[args.command]._actions if a.dest != "help"}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            parser.error(f"config key {key!r} does not match any flag")
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"config key {key!r} does not match any flag")
+        # JSON types stand in for the flag's: switches take true/false
+        want = bool if action.nargs == 0 else action.type or str
+        if type(value) is not want or (action.choices and value not in action.choices):
+            raise UsageError(f"config key {key!r} needs a JSON {want.__name__}, got {value!r}")
         # explicit command-line flags win over the config file
-        if f"--{key}" not in argv and f"--{dest}" not in argv:
-            setattr(args, dest, value)
+        if not any(opt in argv for opt in action.option_strings):
+            setattr(args, action.dest, value)
 
 
 def _emit(report: dict, args) -> None:
@@ -551,7 +558,7 @@ def _emit(report: dict, args) -> None:
     else:
         text = _render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_for_writing(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -575,19 +582,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_witness_csv(path: str, witnesses: list) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_witness_csv(path: str, codes: np.ndarray, n: int) -> None:
+    with _open_for_writing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["code", "pairs"])
-        for strat in witnesses:
-            writer.writerow([strat.code, " ".join("".join(map(str, p)) for p in strat.outputs)])
+        for code in codes.tolist():
+            bits = format(code, f"0{2 * n}b")
+            writer.writerow([code, " ".join(bits[i : i + 2] for i in range(0, 2 * n, 2))])
+
+
+def _open_for_writing(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _write_grid_csv(path: str, records: list[dict]) -> None:
     if not records:
         return
     fields = sorted({k for r in records for k in r})
-    with open(path, "w", newline="") as fh:
+    with _open_for_writing(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(records)

@@ -13,6 +13,7 @@ order of the packed value.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 
@@ -157,3 +158,18 @@ def enumerate_legitimate(cfg: GameConfig) -> list[Question]:
 def legitimate_bits(n: int) -> list[int]:
     """Packed-int form of enumerate_legitimate, for inner-loop use."""
     return [bits for bits in range(1 << n) if bits.bit_count() % 2 == 0]
+
+
+class SettingError(ValueError):
+    """An environment setting that cannot be used as given."""
+
+
+def env_limit(name: str, default: int) -> int:
+    """An integer size limit read from the environment variable `name`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise SettingError(f"{name} must be an integer, got {raw!r}") from None

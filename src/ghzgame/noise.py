@@ -5,28 +5,28 @@ quantum strategy: each player's bit is flipped with probability 1-p, or each
 player fails to produce a bit at all with probability 1-eta.  Closed-form
 win probabilities and the thresholds where the noisy quantum strategy still
 beats every classical strategy are computed here, together with the
-brute-force sweep over no-output ("bot") strategy tables that pins down how
+exhaustive sweep over no-output ("bot") strategy tables that pins down how
 little an error-free classical strategy can achieve.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .classical import classical_bound
-from .core import Answer, GameConfig, Question, legitimate_bits
+from .classical import classical_bound, gaussian_product_table
+from .core import Answer, GameConfig, Question, env_limit, legitimate_bits
 
 DEFAULT_EXTENDED_LIMIT = 5
+#: an extended output pair (a, b) has code 3*index(a) + index(b) in this tuple
+EXTENDED_OUTPUTS = (0, 1, None)
 
 
 def extended_limit() -> int:
-    return int(os.environ.get("GAME_EXTENDED_LIMIT", DEFAULT_EXTENDED_LIMIT))
+    return env_limit("GAME_EXTENDED_LIMIT", DEFAULT_EXTENDED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,17 @@ class ExtendedStrategy:
     def n(self) -> int:
         return len(self.outputs)
 
+    @classmethod
+    def from_code(cls, n: int, code: int) -> "ExtendedStrategy":
+        """Unpack a base-9 table code; player 1's pair is the most significant digit."""
+        if not 0 <= code < 9**n:
+            raise ValueError(f"code {code} out of range for n={n}")
+        pairs = []
+        for _ in range(n):
+            code, k = divmod(code, 9)
+            pairs.append((EXTENDED_OUTPUTS[k // 3], EXTENDED_OUTPUTS[k % 3]))
+        return cls(tuple(reversed(pairs)))
+
 
 def extended_answer(strat: ExtendedStrategy, q: Question) -> Answer:
     """Evaluate the table on a question; no-output entries become bot positions."""
@@ -172,47 +183,42 @@ def winnable_questions(strat: ExtendedStrategy, cfg: GameConfig) -> list[Questio
     return [Question(cfg.n, x) for x in won]
 
 
-def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, list[ExtendedStrategy]]:
+def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, np.ndarray]:
     """Sweep all 9^n extended tables and maximize wins among error-free ones.
 
-    Returns the best win count together with every table attaining it.
+    Let s_j be the sign of a player's output on input j (+1 for 0, -1 for 1,
+    0 for no output) and a_j = |s_j|.  Over the legitimate questions a table
+    then has, with products over the players,
+
+        wins - losses = Re prod (s_0 + i*s_1)
+        wins + losses = (prod (a_0 + a_1) + prod (a_0 - a_1)) / 2
+
+    Each product is a Kronecker power of a 9-vector over the pair codes, so
+    all 9^n tables are scored at once; a table is error-free exactly when the
+    two counts agree.
+
+    Returns the best win count and the codes of every table attaining it,
+    ascending (see `ExtendedStrategy.from_code`).
     """
     n = cfg.n
     if n > extended_limit():
         raise ValueError(f"n={n} exceeds the extended-sweep limit {extended_limit()}")
-    questions = legitimate_bits(n)
-    targets = [(x.bit_count() >> 1) & 1 for x in questions]
-    inputs = [tuple((x >> (n - i)) & 1 for i in range(1, n + 1)) for x in questions]
-    pairs = [(a, b) for a in (0, 1, None) for b in (0, 1, None)]
-    best = -1
-    witnesses: list[tuple] = []
-    for combo in itertools.product(pairs, repeat=n):
-        wins = 0
-        error_free = True
-        for inp, target in zip(inputs, targets):
-            parity = 0
-            draw = False
-            for player in range(n):
-                out = combo[player][inp[player]]
-                if out is None:
-                    draw = True
-                    break
-                parity ^= out
-            if draw:
-                continue
-            if parity == target:
-                wins += 1
-            else:
-                error_free = False
-                break
-        if not error_free:
-            continue
-        if wins > best:
-            best = wins
-            witnesses = [combo]
-        elif wins == best:
-            witnesses.append(combo)
-    return best, [ExtendedStrategy(c) for c in witnesses]
+    sign = np.array([1, -1, 0], dtype=np.int16)  # of each entry of EXTENDED_OUTPUTS
+    s0, s1 = np.repeat(sign, 3), np.tile(sign, 3)  # per pair code
+    a0, a1 = abs(s0), abs(s1)
+    # every entry is at most 2^n in size: int16 holds it for any table that fits in memory
+    wins_minus_losses = gaussian_product_table(s0, s1, n, np.int16)
+    decided = (_kron_power(a0 + a1, n) + _kron_power(a0 - a1, n)) // 2
+    error_free = wins_minus_losses == decided
+    best = int(wins_minus_losses[error_free].max())
+    return best, np.flatnonzero(error_free & (wins_minus_losses == best))
+
+
+def _kron_power(factor: np.ndarray, n: int) -> np.ndarray:
+    table = factor
+    for _ in range(n - 1):
+        table = np.multiply.outer(table, factor).ravel()
+    return table
 
 
 def errorfree_reference_strategy(cfg: GameConfig) -> ExtendedStrategy:

@@ -12,12 +12,11 @@ of the basis index.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Answer, GameConfig, Question, is_legitimate, target_parity
+from .core import Answer, GameConfig, Question, env_limit, is_legitimate, target_parity
 
 NORM_TOL = 1e-12
 
@@ -28,7 +27,7 @@ ANALYTIC_LIMIT = 62
 
 
 def dense_limit() -> int:
-    return int(os.environ.get("GAME_DENSE_LIMIT", DEFAULT_DENSE_LIMIT))
+    return env_limit("GAME_DENSE_LIMIT", DEFAULT_DENSE_LIMIT)
 
 
 @dataclass(frozen=True)

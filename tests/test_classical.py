@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from ghzgame.classical import (
     table1_strategy,
     win_count_table,
 )
-from ghzgame.core import GameConfig, Question
+from ghzgame.core import GameConfig, Question, legitimate_bits
 
 
 def oracle_wins(outputs):
@@ -33,6 +34,24 @@ def oracle_wins(outputs):
         y = [outputs[i][x[i]] for i in range(n)]
         if sum(y) % 2 == (sum(x) // 2) % 2:
             wins += 1
+    return wins
+
+
+def selector_mask_wins(n):
+    """Brute-force oracle for the whole win table, one question at a time.
+
+    For each question a mask picks, per player, the code bit its input
+    selects; the parity of code & mask is the parity of the answer.
+    """
+    codes = np.arange(1 << (2 * n), dtype=np.uint64)
+    wins = np.zeros(codes.size, dtype=np.int64)
+    for x in legitimate_bits(n):
+        mask = 0
+        for i in range(1, n + 1):
+            j = (x >> (n - i)) & 1
+            mask |= 1 << (2 * (n - i) + (1 - j))
+        parity = np.bitwise_count(codes & np.uint64(mask)) & 1
+        wins += parity == (x.bit_count() >> 1) & 1
     return wins
 
 
@@ -121,7 +140,10 @@ def test_exhaustive_best(n, expect):
     best, witnesses = exhaustive_best(GameConfig(n))
     assert best == expect
     assert best == classical_bound(n)
-    assert all(success_proportion(w) == best for w in witnesses[:5])
+    assert all(
+        success_proportion(DeterministicStrategy.from_code(n, int(c))) == best
+        for c in witnesses[:5]
+    )
 
 
 def test_exhaustive_best_rejects_large_n(monkeypatch):
@@ -135,6 +157,32 @@ def test_win_count_table_matches_oracle():
     wins = win_count_table(n)
     for code in range(64):
         assert wins[code] == oracle_wins(DeterministicStrategy.from_code(n, code).outputs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_win_count_table_matches_selector_mask_oracle(n):
+    assert np.array_equal(win_count_table(n), selector_mask_wins(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exhaustive_best_codes_are_oracle_argmax(n):
+    wins = selector_mask_wins(n)
+    top = int(wins.max())
+    best, codes = exhaustive_best(GameConfig(n))
+    assert best == Fraction(top, 1 << (n - 1))
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [c for c in range(wins.size) if wins[c] == top]
+
+
+@given(st.integers(3, 8), st.data())
+@settings(max_examples=60)
+def test_win_count_invariant_under_player_permutation(n, data):
+    pairs = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    code = int("".join(format(pairs[i], "02b") for i in range(n)), 2)
+    permuted = int("".join(format(pairs[i], "02b") for i in order), 2)
+    wins = win_count_table(n)
+    assert wins[code] == wins[permuted]
 
 
 def test_table1_rows():

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from ghzgame import classical
+from ghzgame.classical import DeterministicStrategy
+from ghzgame.core import GameConfig
 from ghzgame.cli import main
 
 
@@ -61,6 +63,18 @@ def test_search_witness_csv(capsys, tmp_path):
     assert len(lines) == 1 + 32  # the n=3 sweep has 32 maximizers
 
 
+def test_witness_csv_rows_spell_out_each_code(capsys, tmp_path):
+    path = tmp_path / "witnesses.csv"
+    main(["search", "--n", "4", "--witnesses", str(path)])
+    _, *rows = path.read_text().splitlines()
+    _, codes = classical.exhaustive_best(GameConfig(4))
+    want = []
+    for c in codes.tolist():
+        pairs = DeterministicStrategy.from_code(4, c).outputs
+        want.append(f"{c}," + " ".join(f"{a}{b}" for a, b in pairs))
+    assert rows == want
+
+
 def test_quantum_command(capsys):
     code, report = run_json(
         capsys, "quantum", "--n", "6", "--trials", "20", "--seed", "7", "--dense-check"
@@ -104,6 +118,42 @@ def test_detect_command(capsys, tmp_path):
     errorfree = [r for r in report["records"] if r.get("kind") == "errorfree"]
     assert [r["max_winnable"] for r in errorfree] == [2, 2]
     assert csv_path.read_text().startswith("classical")
+
+
+def test_detect_refuses_beyond_extended_limit(capsys):
+    assert main(["detect", "--n", "3..6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "set GAME_EXTENDED_LIMIT to raise it" in captured.err
+
+
+@pytest.mark.parametrize(
+    "env,argv",
+    [
+        ("GAME_EXHAUSTIVE_LIMIT", ["search", "--n", "3"]),
+        ("GAME_EXTENDED_LIMIT", ["detect", "--n", "3"]),
+        ("GAME_DENSE_LIMIT", ["quantum", "--n", "3", "--trials", "1", "--dense-check"]),
+    ],
+)
+def test_non_integer_limit_is_a_usage_error(capsys, monkeypatch, env, argv):
+    monkeypatch.setenv(env, "9.5")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {env} must be an integer, got '9.5'\n"
+
+
+def test_config_value_of_wrong_type_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": "7"}))
+    assert main(["quantum", "--n", "4", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config key 'trials' needs a JSON int, got '7'\n"
+
+
+def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["bound", "--n", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ghzgame.classical import classical_bound
-from ghzgame.core import GameConfig, Question
+from ghzgame.core import GameConfig, Question, legitimate_bits
 from ghzgame.noise import (
     BitFlipModel,
     DetectionModel,
@@ -28,6 +29,47 @@ def binomial_even_error_sum(n, p):
     return sum(
         math.comb(n, i) * p ** (n - i) * (1 - p) ** i for i in range(0, n + 1, 2)
     )
+
+
+def itertools_errorfree_sweep(n):
+    """Oracle for the no-output sweep: every table in itertools.product order, question by question.
+
+    Returns the best win count and (position in the sweep, table) for every
+    table attaining it.
+    """
+    questions = legitimate_bits(n)
+    targets = [(x.bit_count() >> 1) & 1 for x in questions]
+    inputs = [tuple((x >> (n - i)) & 1 for i in range(1, n + 1)) for x in questions]
+    pairs = [(a, b) for a in (0, 1, None) for b in (0, 1, None)]
+    best = -1
+    witnesses = []
+    for index, combo in enumerate(itertools.product(pairs, repeat=n)):
+        wins = 0
+        error_free = True
+        for inp, target in zip(inputs, targets):
+            parity = 0
+            draw = False
+            for player in range(n):
+                out = combo[player][inp[player]]
+                if out is None:
+                    draw = True
+                    break
+                parity ^= out
+            if draw:
+                continue
+            if parity == target:
+                wins += 1
+            else:
+                error_free = False
+                break
+        if not error_free:
+            continue
+        if wins > best:
+            best = wins
+            witnesses = [(index, combo)]
+        elif wins == best:
+            witnesses.append((index, combo))
+    return best, witnesses
 
 
 def test_model_validation():
@@ -131,8 +173,9 @@ def test_detection_grid_equivalence(n):
 def test_errorfree_exhaustive_n3():
     best, witnesses = errorfree_exhaustive(GameConfig(3))
     assert best == 2
-    assert witnesses
-    for w in witnesses[:10]:
+    assert witnesses.size > 0
+    for c in witnesses[:10]:
+        w = ExtendedStrategy.from_code(3, int(c))
         assert is_error_free(w, GameConfig(3))
         assert len(winnable_questions(w, GameConfig(3))) == 2
 
@@ -140,6 +183,29 @@ def test_errorfree_exhaustive_n3():
 def test_errorfree_exhaustive_n4():
     best, _ = errorfree_exhaustive(GameConfig(4))
     assert best == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_errorfree_exhaustive_matches_itertools_oracle(n):
+    best, codes = errorfree_exhaustive(GameConfig(n))
+    want_best, want = itertools_errorfree_sweep(n)
+    assert best == want_best
+    assert codes.tolist() == [index for index, _ in want]
+    assert all(ExtendedStrategy.from_code(n, index).outputs == combo for index, combo in want)
+
+
+def test_errorfree_exhaustive_n5():
+    best, codes = errorfree_exhaustive(GameConfig(5))
+    assert best == 2
+    assert codes.size == 2560
+
+
+def test_extended_code_order_follows_pairs():
+    # digits 3*index(a) + index(b) over (0, 1, None), player 1 most significant
+    strat = ExtendedStrategy.from_code(3, 1 * 81 + 5 * 9 + 8)
+    assert strat.outputs == ((0, 1), (1, None), (None, None))
+    with pytest.raises(ValueError):
+        ExtendedStrategy.from_code(3, 9**3)
 
 
 def test_errorfree_rejects_large_n(monkeypatch):
