@@ -12,21 +12,30 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__, classical, noise, quantum
-from .core import GameConfig, Question, SettingError, enumerate_legitimate, target_parity
+from .core import GameConfig, Question, SettingError, enumerate_legitimate
 
 DEFAULT_SEED = 42
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
+
+#: player counts of the `report` sections that run a sweep or the dense oracle
+REPORT_SEARCH_N = range(3, 7)
+REPORT_QUANTUM_N = range(3, 9)
+REPORT_ERRORFREE_N = (3, 4)
+#: witness CSV rows formatted per write
+WITNESS_BLOCK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,17 +159,13 @@ def cmd_quantum(args) -> dict:
     rng = np.random.default_rng(args.seed)
     cfg = GameConfig(n)
     if n <= 16:
-        rounds = 0
-        wins = 0
-        for q in enumerate_legitimate(cfg):
-            wins += _analytic_wins(q, trials, rng)
-            rounds += trials
+        questions = _all_legitimate(n)
+        rounds = trials * questions.size
+        wins = quantum.analytic_wins(n, questions, trials, rng)
         coverage = "all-questions"
     else:
         rounds = trials
-        wins = 0
-        for bits in _sample_legitimate(n, trials, rng):
-            wins += _analytic_wins(Question(n, int(bits)), 1, rng)
+        wins = quantum.analytic_wins(n, _sample_legitimate(n, trials, rng), 1, rng)
         coverage = "sampled-questions"
     records = [
         {
@@ -273,6 +278,12 @@ def cmd_detect(args) -> dict:
 
 
 def cmd_report(args) -> dict:
+    for ns, limit, what, env in (
+        (REPORT_SEARCH_N, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT"),
+        (REPORT_QUANTUM_N, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT"),
+        (REPORT_ERRORFREE_N, noise.extended_limit(), "no-output sweep", "GAME_EXTENDED_LIMIT"),
+    ):
+        _require_within(max(ns), limit, what, env)
     rng = np.random.default_rng(args.seed)
     records = []
     checks = []
@@ -283,7 +294,7 @@ def cmd_report(args) -> dict:
         records.append(
             {"section": "bound", "n": n, "derivation": "closed-form", **_fraction_fields("bound", bound)}
         )
-    for n in range(3, 7):
+    for n in REPORT_SEARCH_N:
         bound = classical.classical_bound(n)
         best, codes = classical.exhaustive_best(GameConfig(n))
         table1_prop = classical.success_proportion(classical.table1_strategy(GameConfig(n)))
@@ -300,12 +311,11 @@ def cmd_report(args) -> dict:
         checks.append(_check(f"table1_matches_bound_n{n}", table1_prop == bound))
 
     # perfect quantum play, analytic everywhere plus dense cross-check
-    for n in range(3, 9):
-        cfg = GameConfig(n)
-        trials = args.quantum_trials
-        wins = sum(_analytic_wins(q, trials, rng) for q in enumerate_legitimate(cfg))
-        rounds = trials * cfg.num_legitimate
-        dense_ok, _ = _dense_consistency(cfg, rng)
+    for n in REPORT_QUANTUM_N:
+        questions = _all_legitimate(n)
+        wins = quantum.analytic_wins(n, questions, args.quantum_trials, rng)
+        rounds = args.quantum_trials * questions.size
+        dense_ok, _ = _dense_consistency(GameConfig(n), rng)
         records.append(
             {
                 "section": "quantum",
@@ -367,7 +377,7 @@ def cmd_report(args) -> dict:
         }
     )
     checks.append(_check("detection_threshold_n3", abs(d3 - 0.7937) <= 0.0001))
-    for n in (3, 4):
+    for n in REPORT_ERRORFREE_N:
         best, _codes = noise.errorfree_exhaustive(GameConfig(n))
         records.append(
             {
@@ -390,16 +400,14 @@ def cmd_report(args) -> dict:
 # ---------------------------------------------------------------- helpers
 
 
-def _analytic_wins(q: Question, trials: int, rng: np.random.Generator) -> int:
-    answers = quantum.sample_answers(q, trials, rng, mode="analytic")
-    want = target_parity(q)
-    return sum(1 for a in answers if a.parity == want)
+def _all_legitimate(n: int) -> np.ndarray:
+    """Every even-weight question as a packed uint64, in integer order."""
+    bits = np.arange(1 << n, dtype=np.uint64)
+    return bits[np.bitwise_count(bits) & 1 == 0]
 
 
 def _sample_legitimate(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    free = rng.integers(0, 2, size=(count, n - 1), dtype=np.uint64)
-    last = free.sum(axis=1) & np.uint64(1)
-    return (free << np.arange(n - 1, 0, -1, dtype=np.uint64)).sum(axis=1) | last
+    return quantum.sample_parity_class(n, np.zeros(count, dtype=np.uint8), rng)
 
 
 def _dense_consistency(cfg: GameConfig, rng: np.random.Generator) -> tuple[bool, int]:
@@ -583,12 +591,24 @@ def _fmt(value) -> str:
 
 
 def _write_witness_csv(path: str, codes: np.ndarray, n: int) -> None:
+    """One `code,pairs` row per code, with the csv module's \r\n line ends."""
+    low = n // 2  # players spelled out by the table of the code's low bits
+    high_pairs, low_pairs = _pairs_table(n - low), _pairs_table(low)
     with _open_for_writing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["code", "pairs"])
-        for code in codes.tolist():
-            bits = format(code, f"0{2 * n}b")
-            writer.writerow([code, " ".join(bits[i : i + 2] for i in range(0, 2 * n, 2))])
+        fh.write("code,pairs\r\n")
+        # a block of rows at a time keeps the row strings' memory small
+        for start in range(0, codes.size, WITNESS_BLOCK):
+            block = codes[start : start + WITNESS_BLOCK]
+            high, rest = np.divmod(block, 1 << (2 * low))
+            rows = zip(block.tolist(), high.tolist(), rest.tolist())
+            fh.write("".join(f"{c},{high_pairs[h]} {low_pairs[r]}\r\n" for c, h, r in rows))
+
+
+@lru_cache(maxsize=None)
+def _pairs_table(players: int) -> tuple[str, ...]:
+    """Entry c spells out code c, 2 bits per player, as output pairs, e.g. "00 01"."""
+    pairs = itertools.product(("00", "01", "10", "11"), repeat=players)
+    return tuple(" ".join(p) for p in pairs)
 
 
 def _open_for_writing(path: str):

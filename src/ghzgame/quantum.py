@@ -2,8 +2,10 @@
 
 The analytic path tracks only which of the two GHZ phase states the players
 hold after their conditional phase gates; it is pure parity logic with no
-floating point, so it scales to word-sized n.  The dense path simulates the
-full 2^n statevector and exists as an independent cross-check oracle.
+floating point, so it scales to word-sized n.  Its rounds are packed uint64
+outcomes, drawn and checked a chunk at a time.  The dense path simulates the
+full 2^n statevector gate by gate and exists as an independent cross-check
+oracle.
 
 Basis indexing matches `core`: player 1's qubit is the most significant bit
 of the basis index.
@@ -12,7 +14,7 @@ of the basis index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,22 +26,19 @@ NORM_TOL = 1e-12
 DEFAULT_DENSE_LIMIT = 20
 #: the analytic path only needs n to fit comfortably in a machine word
 ANALYTIC_LIMIT = 62
+#: analytic rounds draw at most this many fair bits at a time
+ANALYTIC_CHUNK = 1 << 18
+#: the Hadamard transform acts on at most this many qubits per matrix product
+HADAMARD_LAYER = 4
+
+#: the single-qubit Hadamard gate
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+#: i^k for k = 0..3; i^k for any k is entry k mod 4
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def dense_limit() -> int:
     return env_limit("GAME_DENSE_LIMIT", DEFAULT_DENSE_LIMIT)
-
-
-@dataclass(frozen=True)
-class GhzPhaseState:
-    """One of the two GHZ phase states: sign +1 for |0..0>+|1..1>, -1 for the minus state."""
-
-    n: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
 def ghz_state(cfg: GameConfig, sign: int = +1) -> np.ndarray:
@@ -61,53 +60,100 @@ def apply_phase_dense(state: np.ndarray, player: int) -> np.ndarray:
     if not 1 <= player <= n:
         raise IndexError(f"player {player} out of range 1..{n}")
     out = state.copy()
-    idx = np.arange(out.size)
-    out[(idx >> (n - player)) & 1 == 1] *= 1j
+    # axis 1 is the player's qubit: the qubits before it, that qubit, the ones after
+    out.reshape(1 << (player - 1), 2, 1 << (n - player))[:, 1, :] *= 1j
     return out
 
 
 def apply_hadamards_dense(state: np.ndarray) -> np.ndarray:
-    """Hadamard on every qubit (normalized Walsh-Hadamard transform)."""
-    size = state.size
-    _num_qubits(state)
-    v = state.astype(np.complex128, copy=True)
-    half = 1
-    while half < size:
-        v = v.reshape(-1, 2, half)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(size)
-        half *= 2
-    v /= math.sqrt(size)
-    return v
+    """Hadamard on every qubit (normalized Walsh-Hadamard transform).
+
+    H^(x)n runs as layers of H^(x)k, k <= HADAMARD_LAYER.  A layer is one
+    matrix product on the lowest k qubits of the real and imaginary parts,
+    written out transposed so that those k qubits become the highest.  The
+    layers cover n qubits in all, so after the last one every qubit is back
+    in its place.  Two float buffers take turns as input and output.
+    """
+    n = _num_qubits(state)
+    src = np.empty((2, state.size))
+    src[0] = state.real
+    src[1] = state.imag
+    dst = np.empty_like(src)
+    for k in _layer_widths(n):
+        rest = state.size >> k
+        lowest_last = src.reshape(2, rest, 1 << k).transpose(0, 2, 1)
+        np.matmul(_sylvester(k), lowest_last, out=dst.reshape(2, 1 << k, rest))
+        src, dst = dst, src
+    out = np.empty(state.size, dtype=np.complex128)
+    out.real = src[0]
+    out.imag = src[1]
+    return out
 
 
-def measure_all(state: np.ndarray, rng: np.random.Generator) -> Answer:
-    """Sample a computational-basis outcome from the state's distribution."""
-    outcome = _sample_outcomes(state, 1, rng)[0]
-    return Answer(_num_qubits(state), int(outcome))
+def apply_inputs_analytic(q: Question) -> int:
+    """Phase tracking of the conditional phase gates: the sign of the GHZ phase state.
 
-
-def apply_inputs_analytic(q: Question) -> GhzPhaseState:
-    """Phase tracking of the conditional phase gates: weight mod 4 decides the sign.
-
-    Only defined under the promise; an odd-weight question would leave the
-    GHZ phase subspace and is rejected.
+    +1 stands for |0..0>+|1..1>, -1 for the minus state; weight mod 4
+    decides.  Only defined under the promise; an odd-weight question would
+    leave the GHZ phase subspace and is rejected.
     """
     if not is_legitimate(q):
         raise ValueError(f"question {q} violates the promise; analytic path undefined")
-    return GhzPhaseState(q.n, +1 if q.weight % 4 == 0 else -1)
+    return +1 if q.weight % 4 == 0 else -1
 
 
 def question_state_dense(q: Question) -> np.ndarray:
-    """Pre-measurement state for a question: GHZ, then phase gates, then Hadamards."""
+    """Pre-measurement state for a question: GHZ, then phase gates, then Hadamards.
+
+    The phase gates of all players with input 1 commute, and together they
+    multiply basis state |x> by i^popcount(x & q): one diagonal.
+    """
     state = ghz_state(GameConfig(q.n))
-    for player in range(1, q.n + 1):
-        if q.bit(player):
-            state = apply_phase_dense(state, player)
+    state *= _I_POWERS.take(np.bitwise_count(_basis(q.n) & np.uint64(q.bits)), mode="wrap")
     return apply_hadamards_dense(state)
+
+
+def sample_parity_class(n: int, parity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniformly random packed n-bit string per entry of `parity`, of that bit parity.
+
+    Each string is n-1 fair bits, most significant first, plus a last bit
+    that fixes the parity.  The bits are drawn ANALYTIC_CHUNK at a time.
+    """
+    out = np.empty(len(parity), dtype=np.uint64)
+    shifts = np.arange(n - 1, 0, -1, dtype=np.uint64)
+    step = _chunk_rows(n)
+    for start in range(0, out.size, step):
+        want = parity[start : start + step]
+        free = rng.integers(0, 2, size=(want.size, n - 1), dtype=np.uint64)
+        free <<= shifts
+        packed = free.sum(axis=1)
+        out[start : start + want.size] = packed | ((np.bitwise_count(packed) + want) & 1)
+    return out
+
+
+def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Generator) -> int:
+    """Rounds won when every packed question is played `trials` times, analytically.
+
+    Draws exactly what one `sample_answers` call per question, in order,
+    would draw, but keeps the outcomes packed and checks their parity with
+    one popcount per chunk of at most ANALYTIC_CHUNK drawn bits.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n > ANALYTIC_LIMIT:
+        raise ValueError(f"n={n} exceeds the analytic limit {ANALYTIC_LIMIT}")
+    weights = np.bitwise_count(np.asarray(questions, dtype=np.uint64))
+    if np.any(weights & 1):
+        raise ValueError("a question violates the promise (odd weight)")
+    parity = (weights >> 1) & 1
+    rounds = parity.size * trials
+    step = _chunk_rows(n)
+    wins = 0
+    for start in range(0, rounds, step):
+        want = parity[np.arange(start, min(start + step, rounds)) // trials]
+        outcomes = sample_parity_class(n, want, rng)
+        wins += int(np.count_nonzero((np.bitwise_count(outcomes) & 1) == want))
+    return wins
 
 
 def sample_answers(
@@ -128,22 +174,14 @@ def sample_answers(
         if q.n > ANALYTIC_LIMIT:
             raise ValueError(f"n={q.n} exceeds the analytic limit {ANALYTIC_LIMIT}")
         parity = target_parity(q)  # raises on an illegitimate question
-        free = rng.integers(0, 2, size=(trials, q.n - 1), dtype=np.uint64)
-        last = (free.sum(axis=1) + parity) & 1
-        outcomes = (free << np.arange(q.n - 1, 0, -1, dtype=np.uint64)).sum(axis=1) | last
-        return [Answer(q.n, int(bits)) for bits in outcomes]
-    if mode == "dense":
+        outcomes = sample_parity_class(q.n, np.full(trials, parity, dtype=np.uint8), rng)
+    elif mode == "dense":
         if not is_legitimate(q):
             raise ValueError(f"question {q} violates the promise")
-        state = question_state_dense(q)
-        outcomes = _sample_outcomes(state, trials, rng)
-        return [Answer(q.n, int(bits)) for bits in outcomes]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def run_quantum_round(q: Question, rng: np.random.Generator, mode: str = "analytic") -> Answer:
-    """One full round of the perfect strategy for a legitimate question."""
-    return sample_answers(q, 1, rng, mode)[0]
+        outcomes = _sample_outcomes(question_state_dense(q), trials, rng)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return [Answer(q.n, bits) for bits in outcomes.tolist()]
 
 
 def dense_matches_analytic(q: Question) -> bool:
@@ -154,13 +192,46 @@ def dense_matches_analytic(q: Question) -> bool:
     2^(1-n) within tolerance, and the class must match the tracked sign.
     """
     state = question_state_dense(q)
-    want_parity = 0 if apply_inputs_analytic(q).sign > 0 else 1
-    probs = np.abs(state) ** 2
-    parities = np.bitwise_count(np.arange(probs.size, dtype=np.uint64)) & 1
-    in_class = parities == want_parity
-    flat = np.abs(probs[in_class] - 2.0 ** (1 - q.n)) <= NORM_TOL
-    empty = probs[~in_class] <= NORM_TOL
-    return bool(flat.all() and empty.all())
+    want = _flat_on_class(q.n)[int(apply_inputs_analytic(q) < 0)]
+    probs = state.real**2 + state.imag**2
+    return bool(np.abs(probs - want).max() <= NORM_TOL)
+
+
+def _chunk_rows(n: int) -> int:
+    """Strings of n-1 drawn bits that fit in one chunk."""
+    return max(1, ANALYTIC_CHUNK // (n - 1))
+
+
+@lru_cache(maxsize=4)
+def _basis(n: int) -> np.ndarray:
+    """Basis indices 0..2^n-1 as uint64, shared read-only."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    idx.flags.writeable = False
+    return idx
+
+
+@lru_cache(maxsize=4)
+def _flat_on_class(n: int) -> np.ndarray:
+    """Row p: the probabilities of the state spread evenly over the basis indices of parity p."""
+    odd = np.bitwise_count(_basis(n)) & 1
+    flat = np.where(odd == np.arange(2)[:, None], 2.0 ** (1 - n), 0.0)
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _sylvester(k: int) -> np.ndarray:
+    """H^(x)k as a real 2^k x 2^k matrix, Kronecker powers of the 2x2 gate."""
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.kron(h, _HADAMARD)
+    h.flags.writeable = False
+    return h
+
+
+def _layer_widths(n: int) -> list[int]:
+    full, last = divmod(n, HADAMARD_LAYER)
+    return [HADAMARD_LAYER] * full + ([last] if last else [])
 
 
 def _num_qubits(state: np.ndarray) -> int:

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import pytest
@@ -197,3 +199,64 @@ def test_injected_fault_trips_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(classical, "SIMPLE_OPTIMAL_TABLE", broken)
     code = main(["search", "--n", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "env,value,message",
+    [
+        ("GAME_EXHAUSTIVE_LIMIT", "4", "n=6 exceeds the exhaustive limit 4"),
+        ("GAME_DENSE_LIMIT", "6", "n=8 exceeds the dense limit 6"),
+        ("GAME_EXTENDED_LIMIT", "3", "n=4 exceeds the no-output sweep limit 3"),
+    ],
+)
+def test_report_refuses_a_lowered_limit(capsys, monkeypatch, env, value, message):
+    monkeypatch.setenv(env, value)
+    assert main(["report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {message} (set {env} to raise it); refusing to sample silently\n"
+    )
+
+
+def csv_writer_witnesses(path, codes, n):
+    """The witness CSV written row by row with csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["code", "pairs"])
+        for code in codes.tolist():
+            bits = format(code, f"0{2 * n}b")
+            writer.writerow([code, " ".join(bits[i : i + 2] for i in range(0, 2 * n, 2))])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_witness_csv_matches_csv_writer_oracle(capsys, monkeypatch, tmp_path, n):
+    monkeypatch.setattr("ghzgame.cli.WITNESS_BLOCK", 100)  # rows span several writes
+    path, want = tmp_path / "witnesses.csv", tmp_path / "oracle.csv"
+    assert main(["search", "--n", str(n), "--witnesses", str(path)]) == 0
+    csv_writer_witnesses(want, classical.exhaustive_best(GameConfig(n))[1], n)
+    assert path.read_bytes() == want.read_bytes()
+    assert path.read_bytes().count(b"\r\n") == 1 + {5: 512, 6: 1024}[n]
+
+
+# SHA-256 of seeded JSON reports: any change to the RNG stream or the report
+# layout shows up here and has to be declared
+PINNED_REPORTS = [
+    pytest.param(
+        ["quantum", "--n", "13", "--trials", "3", "--dense-check", "--seed", "5"],
+        "b20f77e97003400437cf201f135859240a91c4c5778df5869a1a350cd6bc525e",
+        id="quantum",
+    ),
+    pytest.param(
+        ["report", "--quantum-trials", "5", "--mc-trials", "1000"],
+        "f550f772a9a5f2fdfe89b5e3fb57d2756b71f5b8b889f8ba7e1785a2c8bcb91c",
+        id="report",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS)
+def test_seeded_report_digest_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,21 +2,80 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghzgame.core import GameConfig, Question, is_appropriate, target_parity
+from ghzgame import quantum
+from ghzgame.core import GameConfig, Question, enumerate_legitimate, is_appropriate, target_parity
 from ghzgame.quantum import (
+    analytic_wins,
     apply_hadamards_dense,
     apply_inputs_analytic,
     apply_phase_dense,
     dense_matches_analytic,
     ghz_state,
-    measure_all,
     question_state_dense,
-    run_quantum_round,
     sample_answers,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def phase_by_index_oracle(state, player):
+    """Phase gate on one player's qubit, selected through an index array."""
+    n = state.size.bit_length() - 1
+    out = state.copy()
+    idx = np.arange(out.size)
+    out[(idx >> (n - player)) & 1 == 1] *= 1j
+    return out
+
+
+def butterfly_oracle(state):
+    """Walsh-Hadamard transform, one copying butterfly stage per qubit."""
+    size = state.size
+    v = state.astype(np.complex128, copy=True)
+    half = 1
+    while half < size:
+        v = v.reshape(-1, 2, half)
+        a = v[:, 0, :].copy()
+        b = v[:, 1, :].copy()
+        v[:, 0, :] = a + b
+        v[:, 1, :] = a - b
+        v = v.reshape(size)
+        half *= 2
+    v /= math.sqrt(size)
+    return v
+
+
+def gate_by_gate_oracle(q):
+    """GHZ, one phase gate per player with input 1, then the butterfly transform."""
+    state = ghz_state(GameConfig(q.n))
+    for player in range(1, q.n + 1):
+        if q.bit(player):
+            state = apply_phase_dense(state, player)
+    return butterfly_oracle(state)
+
+
+def per_question_outcomes_oracle(n, questions, trials, rng):
+    """Packed outcomes of `trials` rounds per question: one draw of n-1 fair bits per question."""
+    outcomes = []
+    for bits in questions:
+        want = target_parity(Question(n, int(bits)))
+        free = rng.integers(0, 2, size=(trials, n - 1), dtype=np.uint64)
+        last = (free.sum(axis=1) + want) & 1
+        outcomes += ((free << np.arange(n - 1, 0, -1, dtype=np.uint64)).sum(axis=1) | last).tolist()
+    return outcomes
+
+
+def permute_bits(x, perm, n):
+    """Move player i's bit to player perm[i] (0-based, player 1 most significant)."""
+    out = 0
+    for i, j in enumerate(perm):
+        out |= ((x >> (n - 1 - i)) & 1) << (n - 1 - j)
+    return out
 
 
 def test_ghz_state_amplitudes():
@@ -85,9 +144,9 @@ def test_gates_preserve_norm():
 
 
 def test_analytic_sign_examples():
-    assert apply_inputs_analytic(Question.from_string("0000")).sign == +1
-    assert apply_inputs_analytic(Question.from_string("110")).sign == -1
-    assert apply_inputs_analytic(Question.from_string("1111")).sign == +1
+    assert apply_inputs_analytic(Question.from_string("0000")) == +1
+    assert apply_inputs_analytic(Question.from_string("110")) == -1
+    assert apply_inputs_analytic(Question.from_string("1111")) == +1
 
 
 def test_analytic_rejects_illegitimate():
@@ -100,12 +159,12 @@ def test_measure_deterministic_state():
     s[0b011] = 1.0
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert str(measure_all(s, rng)) == "011"
+        assert quantum._sample_outcomes(s, 1, rng).tolist() == [0b011]
 
 
 def test_measure_rejects_unnormalized():
     with pytest.raises(ValueError):
-        measure_all(np.ones(8, dtype=complex), np.random.default_rng(0))
+        quantum._sample_outcomes(np.ones(8, dtype=complex), 1, np.random.default_rng(0))
 
 
 def test_measure_frequencies_match_amplitudes():
@@ -127,11 +186,9 @@ def test_measure_frequencies_match_amplitudes():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_round_always_wins(n, mode):
     rng = np.random.default_rng(5)
-    from ghzgame.core import enumerate_legitimate
-
     for q in enumerate_legitimate(GameConfig(n)):
         for _ in range(20):
-            a = run_quantum_round(q, rng, mode=mode)
+            (a,) = sample_answers(q, 1, rng, mode=mode)
             assert is_appropriate(q, a)
 
 
@@ -164,8 +221,6 @@ def test_analytic_and_dense_distributions_agree():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_dense_matches_analytic_small_n(n):
-    from ghzgame.core import enumerate_legitimate
-
     for q in enumerate_legitimate(GameConfig(n)):
         assert dense_matches_analytic(q)
 
@@ -183,3 +238,85 @@ def test_seed_determinism():
     a = sample_answers(q, 50, np.random.default_rng(77))
     b = sample_answers(q, 50, np.random.default_rng(77))
     assert a == b
+
+
+def test_dense_check_fails_on_the_wrong_class(monkeypatch):
+    q = Question.from_string("1100")
+    monkeypatch.setattr(quantum, "apply_inputs_analytic", lambda q: +1)
+    assert not dense_matches_analytic(q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phase_gate_matches_index_oracle(n):
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for player in range(1, n + 1):
+        want = phase_by_index_oracle(v, player)
+        np.testing.assert_array_equal(apply_phase_dense(v, player), want)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_question_state_matches_gate_by_gate_oracle(n):
+    for q in enumerate_legitimate(GameConfig(n)):
+        want = gate_by_gate_oracle(q)
+        np.testing.assert_allclose(question_state_dense(q), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_hadamards_match_butterfly_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    v /= np.linalg.norm(v)
+    np.testing.assert_allclose(apply_hadamards_dense(v), butterfly_oracle(v), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.data())))
+def test_question_state_permutes_with_the_players(args):
+    perm, data = args
+    n = len(perm)
+    bits = data.draw(st.integers(0, (1 << n) - 1).filter(lambda b: b.bit_count() % 2 == 0))
+    state = question_state_dense(Question(n, bits))
+    moved = question_state_dense(Question(n, permute_bits(bits, perm, n)))
+    idx = [permute_bits(x, perm, n) for x in range(1 << n)]
+    np.testing.assert_allclose(moved[idx], state, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,trials,chunk", [(3, 7, 5), (5, 3, 9), (8, 4, 10), (12, 2, 64), (20, 1, 38)]
+)
+def test_analytic_wins_draws_like_per_question_calls(monkeypatch, n, trials, chunk):
+    # a chunk this small splits rounds, and questions, across draws
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
+    pick = np.random.default_rng(n)
+    questions = pick.integers(0, 1 << n, size=40, dtype=np.uint64)
+    questions = questions[np.bitwise_count(questions) % 2 == 0]
+    ours, oracle, per_question = (np.random.default_rng(9) for _ in range(3))
+    wins = analytic_wins(n, questions, trials, ours)
+    outcomes = per_question_outcomes_oracle(n, questions, trials, oracle)
+    want = np.repeat((np.bitwise_count(questions) >> 1) & 1, trials).tolist()
+    assert wins == sum(x.bit_count() % 2 == w for x, w in zip(outcomes, want))
+    assert wins == questions.size * trials
+    # sample_answers draws the same rounds, one call per question
+    answers = [sample_answers(Question(n, q), trials, per_question) for q in questions.tolist()]
+    assert [a.bits for round_answers in answers for a in round_answers] == outcomes
+    assert ours.random() == oracle.random() == per_question.random()
+
+
+def test_analytic_wins_rejects_an_odd_question():
+    with pytest.raises(ValueError):
+        analytic_wins(4, np.array([0b0000, 0b0100], dtype=np.uint64), 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n,count,chunk", [(3, 11, 4), (24, 50, 100), (62, 9, 61)])
+def test_sample_parity_class_draws_like_one_draw(monkeypatch, n, count, chunk):
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
+    parity = np.random.default_rng(n).integers(0, 2, size=count, dtype=np.uint8)
+    ours, oracle = np.random.default_rng(3), np.random.default_rng(3)
+    got = quantum.sample_parity_class(n, parity, ours)
+    free = oracle.integers(0, 2, size=(count, n - 1), dtype=np.uint64)
+    packed = (free << np.arange(n - 1, 0, -1, dtype=np.uint64)).sum(axis=1)
+    want = packed | ((free.sum(axis=1) + parity) & 1)
+    np.testing.assert_array_equal(got, want)
+    assert (np.bitwise_count(got) & 1).tolist() == parity.tolist()
+    assert ours.random() == oracle.random()
