@@ -30,6 +30,9 @@ ANALYTIC_LIMIT = 62
 ANALYTIC_CHUNK = 1 << 18
 #: the Hadamard transform acts on at most this many qubits per matrix product
 HADAMARD_LAYER = 4
+#: multiply-adds per matrix product at most; OpenBLAS runs products this small
+#: on the calling thread, so the transform never waits for a second core
+HADAMARD_PRODUCT = 1 << 18
 
 #: the single-qubit Hadamard gate
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -68,11 +71,13 @@ def apply_phase_dense(state: np.ndarray, player: int) -> np.ndarray:
 def apply_hadamards_dense(state: np.ndarray) -> np.ndarray:
     """Hadamard on every qubit (normalized Walsh-Hadamard transform).
 
-    H^(x)n runs as layers of H^(x)k, k <= HADAMARD_LAYER.  A layer is one
+    H^(x)n runs as layers of H^(x)k, k <= HADAMARD_LAYER.  A layer is a
     matrix product on the lowest k qubits of the real and imaginary parts,
     written out transposed so that those k qubits become the highest.  The
     layers cover n qubits in all, so after the last one every qubit is back
-    in its place.  Two float buffers take turns as input and output.
+    in its place.  Two float buffers take turns as input and output.  A
+    layer larger than HADAMARD_PRODUCT multiply-adds runs as several
+    products, over blocks of the other qubits.
     """
     n = _num_qubits(state)
     src = np.empty((2, state.size))
@@ -81,8 +86,11 @@ def apply_hadamards_dense(state: np.ndarray) -> np.ndarray:
     dst = np.empty_like(src)
     for k in _layer_widths(n):
         rest = state.size >> k
-        lowest_last = src.reshape(2, rest, 1 << k).transpose(0, 2, 1)
-        np.matmul(_sylvester(k), lowest_last, out=dst.reshape(2, 1 << k, rest))
+        # the longest power-of-two block whose product keeps within the cap
+        block = min(rest, 1 << max(0, HADAMARD_PRODUCT.bit_length() - 1 - 2 * k))
+        lowest_last = src.reshape(2, rest // block, block, 1 << k).transpose(0, 1, 3, 2)
+        lowest_first = dst.reshape(2, 1 << k, rest // block, block).transpose(0, 2, 1, 3)
+        np.matmul(_sylvester(k), lowest_last, out=lowest_first)
         src, dst = dst, src
     out = np.empty(state.size, dtype=np.complex128)
     out.real = src[0]

@@ -270,6 +270,33 @@ def test_hadamards_match_butterfly_oracle(n):
     np.testing.assert_allclose(apply_hadamards_dense(v), butterfly_oracle(v), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,product", [(5, 1), (6, 16), (8, 64), (9, 300), (11, 1 << 12)])
+def test_hadamards_in_small_products_match_butterfly_oracle(monkeypatch, n, product):
+    # a cap this small splits every layer into many products
+    monkeypatch.setattr(quantum, "HADAMARD_PRODUCT", product)
+    rng = np.random.default_rng(200 + n)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    v /= np.linalg.norm(v)
+    np.testing.assert_allclose(apply_hadamards_dense(v), butterfly_oracle(v), rtol=0, atol=1e-12)
+    q = Question(n, (1 << n) - 2 if n % 2 else (1 << n) - 1)
+    np.testing.assert_allclose(question_state_dense(q), gate_by_gate_oracle(q), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_matrix_products_stay_within_the_cap(monkeypatch, n):
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    assert dense_matches_analytic(Question(n, 0b1111 << (n - 4)))
+    assert len(sizes) == -(-n // quantum.HADAMARD_LAYER)
+    assert max(sizes) <= quantum.HADAMARD_PRODUCT
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.data())))
 def test_question_state_permutes_with_the_players(args):
