@@ -8,13 +8,23 @@ score is an exact Gaussian integer.  Floats never enter any bound check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Answer, GameConfig, Question, env_limit, legitimate_bits
+from .core import (
+    Answer,
+    GameConfig,
+    Question,
+    answer_bits,
+    appropriate,
+    env_limit,
+    legitimate_bits,
+    output_masks,
+)
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 #: beyond this the full set of optimal strategies is not materialized
@@ -68,13 +78,6 @@ class DeterministicStrategy:
             c = (c << 2) | (out0 << 1) | out1
         return c
 
-    def output(self, player: int, input_bit: int) -> int:
-        return self.outputs[player - 1][input_bit]
-
-    def sign(self, player: int, input_bit: int) -> int:
-        """+1 when the player outputs 0, -1 when it outputs 1."""
-        return 1 - 2 * self.outputs[player - 1][input_bit]
-
 
 @dataclass(frozen=True)
 class StrategyScore:
@@ -90,29 +93,26 @@ def eval_answer(strat: DeterministicStrategy, q: Question) -> Answer:
     """The answer the strategy produces on a question (no communication, so per-player lookup)."""
     if strat.n != q.n:
         raise ValueError(f"size mismatch: strategy n={strat.n}, question n={q.n}")
-    bits = 0
-    for player in range(1, q.n + 1):
-        bits = (bits << 1) | strat.output(player, q.bit(player))
-    return Answer(q.n, bits)
+    return Answer(q.n, answer_bits(*output_masks(strat.outputs), q.bits))
 
 
 def success_proportion(strat: DeterministicStrategy) -> Fraction:
-    """Fraction of legitimate questions answered appropriately, exact."""
-    n = strat.n
-    return Fraction(_count_wins(strat), 1 << (n - 1))
+    """Fraction of legitimate questions answered appropriately, exact, in O(n).
+
+    Re(s) = wins - losses and wins + losses = 2^(n-1), so wins = (2^(n-1) + Re s) / 2.
+    """
+    half = 1 << (strat.n - 1)
+    return Fraction((half + _gaussian_score(strat)[0]) // 2, half)
 
 
 def strategy_score(strat: DeterministicStrategy) -> StrategyScore:
     """Exact Gaussian-integer product over players of (sign(i,0) + i*sign(i,1)).
 
-    The real part must equal wins minus losses over the legitimate questions;
-    a mismatch means a scoring bug and raises.
+    The real part must equal wins minus losses, counted question by question
+    over the legitimate questions; a mismatch means a scoring bug and raises.
     """
-    re, im = 1, 0
-    for player in range(1, strat.n + 1):
-        c, d = strat.sign(player, 0), strat.sign(player, 1)
-        re, im = re * c - im * d, re * d + im * c
-    wins = _count_wins(strat)
+    re, im = _gaussian_score(strat)
+    wins = int(np.count_nonzero(_win_matrix([strat], strat.n)))
     losses = (1 << (strat.n - 1)) - wins
     if re != wins - losses:
         raise RuntimeError(
@@ -177,11 +177,7 @@ def per_question_win_counts(
     strategies: list[DeterministicStrategy], cfg: GameConfig
 ) -> list[int]:
     """For each legitimate question (in order), how many member strategies win it."""
-    counts = []
-    for x in legitimate_bits(cfg.n):
-        target = (x.bit_count() >> 1) & 1
-        counts.append(sum(1 for s in strategies if _answer_parity(s, x) == target))
-    return counts
+    return _win_matrix(strategies, cfg.n).sum(axis=0).tolist()
 
 
 @dataclass(frozen=True)
@@ -214,15 +210,11 @@ class ProbabilisticStrategy:
 
     def win_probabilities(self) -> list[Fraction]:
         """Per legitimate question (in order), the probability of answering appropriately."""
-        probs = []
-        for x in legitimate_bits(self.n):
-            target = (x.bit_count() >> 1) & 1
-            p = sum(
-                (w for s, w in zip(self.strategies, self.weights) if _answer_parity(s, x) == target),
-                Fraction(0),
-            )
-            probs.append(p)
-        return probs
+        # exact: integer numerators over the weights' common denominator
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (denom // w.denominator) for w in self.weights]
+        won = _win_matrix(self.strategies, self.n).T.tolist()
+        return [Fraction(sum(itertools.compress(nums, row)), denom) for row in won]
 
     def success_probability(self) -> Fraction:
         """Worst case over legitimate questions (the min, not the mean)."""
@@ -280,20 +272,18 @@ def gaussian_product_table(re, im, n: int, dtype) -> np.ndarray:
     return table_re
 
 
-def _answer_parity(strat: DeterministicStrategy, question_bits: int) -> int:
-    """Parity of the strategy's answer on a packed question."""
-    n = strat.n
-    parity = 0
-    for i in range(1, n + 1):
-        parity ^= strat.outputs[i - 1][(question_bits >> (n - i)) & 1]
-    return parity
+def _gaussian_score(strat: DeterministicStrategy) -> tuple[int, int]:
+    """(Re, Im) of the product over players of s(out0) + i*s(out1), where s(b) = 1 - 2b."""
+    re, im = 1, 0
+    for out0, out1 in strat.outputs:
+        c, d = 1 - 2 * out0, 1 - 2 * out1
+        re, im = re * c - im * d, re * d + im * c
+    return re, im
 
 
-def _count_wins(strat: DeterministicStrategy) -> int:
-    n = strat.n
-    wins = 0
-    for x in legitimate_bits(n):
-        target = (x.bit_count() >> 1) & 1
-        if _answer_parity(strat, x) == target:
-            wins += 1
-    return wins
+def _win_matrix(strategies, n: int) -> np.ndarray:
+    """won[s, j]: whether strategy s answers legitimate question j appropriately."""
+    masks = np.array([output_masks(s.outputs) for s in strategies], dtype=np.uint64)
+    masks = masks.reshape(-1, 2, 1)  # strategies x (on0, on1) x broadcast over questions
+    q = legitimate_bits(n)
+    return appropriate(q, answer_bits(masks[:, 0], masks[:, 1], q))

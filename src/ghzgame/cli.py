@@ -17,13 +17,14 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import __version__, classical, noise, quantum
-from .core import GameConfig, Question, SettingError, enumerate_legitimate
+from .core import GameConfig, Question, SettingError, legitimate_bits
 
 DEFAULT_SEED = 42
 
@@ -36,6 +37,12 @@ REPORT_QUANTUM_N = range(3, 9)
 REPORT_ERRORFREE_N = (3, 4)
 #: witness CSV rows formatted per write
 WITNESS_BLOCK = 4096
+#: grid points (player counts times grid values) one command computes at most
+GRID_LIMIT = 10**5
+#: largest decimal exponent a grid value may carry, so parsing it stays cheap
+GRID_EXPONENT = 40
+#: grid values this close to a threshold, relatively, are too close for its float to order
+FLAG_TOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bound(args) -> dict:
-    n = _require_n(args.n)
+    n = _require_at_least(args.n, 3, "--n")
     bound = classical.classical_bound(n)
     record = {"n": n, "derivation": "closed-form", **_fraction_fields("bound", bound)}
     return _report("bound", args, records=[record])
 
 
 def cmd_search(args) -> dict:
-    n = _require_n(args.n)
+    n = _require_at_least(args.n, 3, "--n")
     _require_within(n, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT")
     bound = classical.classical_bound(n)
     best, codes = classical.exhaustive_best(GameConfig(n))
@@ -150,23 +157,18 @@ def cmd_search(args) -> dict:
 
 
 def cmd_quantum(args) -> dict:
-    n = _require_n(args.n)
+    n = _require_at_least(args.n, 3, "--n")
     if n > quantum.ANALYTIC_LIMIT:
         raise UsageError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
-    trials = args.trials
-    if trials < 1:
-        raise UsageError("--trials must be >= 1")
+    trials = _require_at_least(args.trials, 1, "--trials")
     rng = np.random.default_rng(args.seed)
-    cfg = GameConfig(n)
     if n <= 16:
-        questions = _all_legitimate(n)
-        rounds = trials * questions.size
-        wins = quantum.analytic_wins(n, questions, trials, rng)
-        coverage = "all-questions"
+        questions, repeats, coverage = legitimate_bits(n), trials, "all-questions"
     else:
-        rounds = trials
-        wins = quantum.analytic_wins(n, _sample_legitimate(n, trials, rng), 1, rng)
-        coverage = "sampled-questions"
+        questions = quantum.sample_parity_class(n, np.zeros(trials, dtype=np.uint8), rng)
+        repeats, coverage = 1, "sampled-questions"
+    wins = quantum.analytic_wins(n, questions, repeats, rng)
+    rounds = questions.size * repeats
     records = [
         {
             "n": n,
@@ -181,7 +183,7 @@ def cmd_quantum(args) -> dict:
     checks = [_check("quantum_win_rate_is_one", wins == rounds)]
     if args.dense_check:
         _require_within(n, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT")
-        ok, questions_checked = _dense_consistency(cfg, rng)
+        ok, questions_checked = _dense_consistency(n, rng)
         records.append(
             {
                 "n": n,
@@ -197,35 +199,24 @@ def cmd_quantum(args) -> dict:
 
 def cmd_noise(args) -> dict:
     n_values = _parse_range(args.n)
-    p_grid = _parse_grid(args.p) if args.p else []
-    for p in p_grid:
-        if not 0.5 <= p <= 1.0:
-            raise UsageError(f"reliability p={p} outside [0.5, 1]")
+    p_grid = _parse_grid(args.p, len(n_values), "reliability p", Fraction(1, 2)) if args.p else []
+    trials = _require_at_least(args.trials, 0, "--trials")
+    if trials and p_grid and n_values[-1] > quantum.ANALYTIC_LIMIT:
+        raise UsageError(f"n={n_values[-1]} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
     rng = np.random.default_rng(args.seed)
     records = []
     checks = []
     for n in n_values:
-        threshold = noise.bitflip_threshold(n)
-        records.append(
-            {
-                "kind": "threshold",
-                "n": n,
-                "derivation": "closed-form",
-                "bitflip_threshold": threshold,
-            }
-        )
         grid = noise.compare_report([n], p_grid=p_grid)
-        records.extend(_comparison_record(rec, "p") for rec in grid)
-        if p_grid:
-            checks.append(_check(f"threshold_flags_consistent_n{n}", _flags_consistent(grid)))
-        if args.trials > 0:
+        _add_grid(records, checks, n, "bitflip_threshold", noise.bitflip_threshold(n), "p", grid)
+        if trials:
             for p in p_grid:
-                est = noise.bitflip_monte_carlo(n, noise.BitFlipModel(p), args.trials, rng)
+                est = noise.bitflip_monte_carlo(n, noise.BitFlipModel(float(p)), trials, rng)
                 records.append(
                     {
                         "kind": "monte-carlo",
                         "n": n,
-                        "p": p,
+                        "p": float(p),
                         "derivation": "monte-carlo",
                         "trials": est.trials,
                         "wins": est.wins,
@@ -240,26 +231,13 @@ def cmd_noise(args) -> dict:
 
 def cmd_detect(args) -> dict:
     n_values = _parse_range(args.n)
-    eta_grid = _parse_grid(args.eta) if args.eta else []
-    for eta in eta_grid:
-        if not 0.0 <= eta <= 1.0:
-            raise UsageError(f"efficiency eta={eta} outside [0, 1]")
-    _require_within(max(n_values), noise.extended_limit(), "no-output sweep", "GAME_EXTENDED_LIMIT")
+    eta_grid = _parse_grid(args.eta, len(n_values), "efficiency eta", 0) if args.eta else []
+    _require_within(n_values[-1], noise.extended_limit(), "no-output sweep", "GAME_EXTENDED_LIMIT")
     records = []
     checks = []
     for n in n_values:
-        records.append(
-            {
-                "kind": "threshold",
-                "n": n,
-                "derivation": "closed-form",
-                "detection_threshold": noise.detection_threshold(n),
-            }
-        )
         grid = noise.compare_report([n], eta_grid=eta_grid)
-        records.extend(_comparison_record(rec, "eta") for rec in grid)
-        if eta_grid:
-            checks.append(_check(f"threshold_flags_consistent_n{n}", _flags_consistent(grid)))
+        _add_grid(records, checks, n, "detection_threshold", noise.detection_threshold(n), "eta", grid)
         best, codes = noise.errorfree_exhaustive(GameConfig(n))
         records.append(
             {
@@ -278,6 +256,8 @@ def cmd_detect(args) -> dict:
 
 
 def cmd_report(args) -> dict:
+    _require_at_least(args.quantum_trials, 1, "--quantum-trials")
+    _require_at_least(args.mc_trials, 1, "--mc-trials")
     for ns, limit, what, env in (
         (REPORT_SEARCH_N, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT"),
         (REPORT_QUANTUM_N, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT"),
@@ -312,10 +292,10 @@ def cmd_report(args) -> dict:
 
     # perfect quantum play, analytic everywhere plus dense cross-check
     for n in REPORT_QUANTUM_N:
-        questions = _all_legitimate(n)
+        questions = legitimate_bits(n)
         wins = quantum.analytic_wins(n, questions, args.quantum_trials, rng)
         rounds = args.quantum_trials * questions.size
-        dense_ok, _ = _dense_consistency(GameConfig(n), rng)
+        dense_ok, _ = _dense_consistency(n, rng)
         records.append(
             {
                 "section": "quantum",
@@ -400,27 +380,14 @@ def cmd_report(args) -> dict:
 # ---------------------------------------------------------------- helpers
 
 
-def _all_legitimate(n: int) -> np.ndarray:
-    """Every even-weight question as a packed uint64, in integer order."""
-    bits = np.arange(1 << n, dtype=np.uint64)
-    return bits[np.bitwise_count(bits) & 1 == 0]
-
-
-def _sample_legitimate(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    return quantum.sample_parity_class(n, np.zeros(count, dtype=np.uint8), rng)
-
-
-def _dense_consistency(cfg: GameConfig, rng: np.random.Generator) -> tuple[bool, int]:
+def _dense_consistency(n: int, rng: np.random.Generator) -> tuple[bool, int]:
     """Dense pipeline agrees with phase tracking: one parity class, flat weights."""
-    if cfg.n <= 12:
-        questions = enumerate_legitimate(cfg)
+    if n <= 12:
+        questions = legitimate_bits(n)
     else:
-        picks = _sample_legitimate(cfg.n, 256, rng)
-        questions = [Question(cfg.n, int(b)) for b in picks]
-    for q in questions:
-        if not quantum.dense_matches_analytic(q):
-            return False, len(questions)
-    return True, len(questions)
+        questions = quantum.sample_parity_class(n, np.zeros(256, dtype=np.uint8), rng)
+    ok = all(quantum.dense_matches_analytic(Question(n, q)) for q in questions.tolist())
+    return ok, questions.size
 
 
 def _reference_wins_expected(n: int) -> bool:
@@ -430,8 +397,18 @@ def _reference_wins_expected(n: int) -> bool:
     return won == {0, 0b11 << (n - 2)}
 
 
+def _add_grid(records, checks, n: int, name: str, threshold: float, param: str, grid) -> None:
+    """The threshold record for n, one record per grid point, and the flags' consistency check."""
+    records.append({"kind": "threshold", "n": n, "derivation": "closed-form", name: threshold})
+    records.extend(_comparison_record(rec, param) for rec in grid)
+    if grid:
+        checks.append(_check(f"threshold_flags_consistent_n{n}", _flags_consistent(grid)))
+
+
 def _flags_consistent(grid: list[noise.ComparisonRecord]) -> bool:
-    return all((rec.param > rec.threshold) == (rec.flag == "quantum-wins") for rec in grid)
+    """Exact flags agree with the float threshold wherever a float can order the two."""
+    clear = [r for r in grid if not math.isclose(r.param, r.threshold, rel_tol=FLAG_TOL)]
+    return all((r.param > r.threshold) == (r.flag == "quantum-wins") for r in clear)
 
 
 def _comparison_record(rec: noise.ComparisonRecord, param_name: str) -> dict:
@@ -449,10 +426,10 @@ def _comparison_record(rec: noise.ComparisonRecord, param_name: str) -> dict:
     }
 
 
-def _require_n(n: int) -> int:
-    if n < 3:
-        raise UsageError(f"the game needs at least 3 players, got n={n}")
-    return n
+def _require_at_least(value: int, least: int, flag: str) -> int:
+    if value < least:
+        raise UsageError(f"{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _require_within(n: int, limit: int, what: str, env: str) -> None:
@@ -463,48 +440,45 @@ def _require_within(n: int, limit: int, what: str, env: str) -> None:
         )
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        lo, hi = text.split("..") if ".." in text else (text, text)
+        values = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise UsageError(f"bad n range {text!r}: {exc}") from None
     if not values:
         raise UsageError(f"empty n range {text!r}")
-    for n in values:
-        _require_n(n)
+    _require_at_least(values[0], 3, "--n")
     return values
 
 
-def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
+def _parse_grid(text: str, n_count: int, name: str, least) -> list[Fraction]:
+    """start:stop:step (or one value), exactly: start + k*step for every k that stays <= stop.
+
+    Every point must lie in [least, 1].  The points are counted, times
+    `n_count` player counts, before any is built.
+    """
+    parts = text.split(":") if ":" in text else [text, text, "1"]
+    if len(parts) != 3:
+        raise UsageError(f"bad grid {text!r}: expected start:stop:step")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
-            raise ValueError("expected start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from None
+        decimals = [Decimal(p) for p in parts]
+    except ArithmeticError:
+        raise UsageError(f"bad grid {text!r}: not decimal numbers") from None
+    if not all(d.is_finite() and abs(d.as_tuple().exponent) <= GRID_EXPONENT for d in decimals):
+        raise UsageError(f"bad grid {text!r}: needs finite values, exponents within ±{GRID_EXPONENT}")
+    start, stop, step = map(Fraction, decimals)
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid bounds {text!r}")
-    decimals = max(_decimals(p) for p in parts)
-    values = []
-    k = 0
-    while True:
-        v = round(start + k * step, decimals)
-        if v > stop + 1e-12:
-            break
-        values.append(v)
-        k += 1
-    return values
-
-
-def _decimals(text: str) -> int:
-    return len(text.split(".")[1]) if "." in text else 0
+    count = (stop - start) // step + 1
+    if start < least or start + (count - 1) * step > 1:
+        raise UsageError(f"{name} grid {text!r} leaves [{float(least)}, 1]")
+    if count * n_count > GRID_LIMIT:
+        raise UsageError(
+            f"grid {text!r} over {n_count} player counts has {count * n_count} points, "
+            f"more than the limit {GRID_LIMIT}"
+        )
+    return [start + k * step for k in range(count)]
 
 
 def _rational(frac: Fraction) -> str:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -152,12 +154,38 @@ def is_appropriate(q: Question, a: Answer) -> bool:
 
 def enumerate_legitimate(cfg: GameConfig) -> list[Question]:
     """All even-weight questions, in lexicographic (= integer) order."""
-    return [Question(cfg.n, bits) for bits in legitimate_bits(cfg.n)]
+    return [Question(cfg.n, bits) for bits in legitimate_bits(cfg.n).tolist()]
 
 
-def legitimate_bits(n: int) -> list[int]:
-    """Packed-int form of enumerate_legitimate, for inner-loop use."""
-    return [bits for bits in range(1 << n) if bits.bit_count() % 2 == 0]
+def legitimate_bits(n: int) -> np.ndarray:
+    """Every even-weight question as a packed uint64, ascending: n-1 free bits, then parity."""
+    free = np.arange(1 << (n - 1), dtype=np.uint64)
+    return (free << 1) | (np.bitwise_count(free) & 1)
+
+
+def output_masks(outputs, value=1) -> tuple[int, int]:
+    """Masks (on0, on1) of the players whose output on input 0 (1) equals `value`.
+
+    `outputs[i-1]` is player i's pair; player 1 is the most significant bit.
+    """
+    on0 = on1 = 0
+    for out0, out1 in outputs:
+        on0 = (on0 << 1) | (out0 == value)
+        on1 = (on1 << 1) | (out1 == value)
+    return on0, on1
+
+
+def answer_bits(on0, on1, q):
+    """Packed answer to the packed question q of the table with output masks (on0, on1).
+
+    Works on Python ints and on broadcast uint64 arrays alike.
+    """
+    return (on0 & ~q) | (on1 & q)
+
+
+def appropriate(q, answers):
+    """Packed form of is_appropriate: answer parity equals (weight/2) mod 2, elementwise."""
+    return np.bitwise_count(answers) & 1 == np.bitwise_count(q) >> 1 & 1
 
 
 class SettingError(ValueError):

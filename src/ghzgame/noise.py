@@ -17,8 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import quantum
 from .classical import classical_bound, gaussian_product_table
-from .core import Answer, GameConfig, Question, env_limit, legitimate_bits
+from .core import (
+    Answer,
+    GameConfig,
+    Question,
+    answer_bits,
+    appropriate,
+    env_limit,
+    legitimate_bits,
+    output_masks,
+)
 
 DEFAULT_EXTENDED_LIMIT = 5
 #: an extended output pair (a, b) has code 3*index(a) + index(b) in this tuple
@@ -104,22 +114,24 @@ def bitflip_monte_carlo(
 ) -> MonteCarloEstimate:
     """Sample noisy rounds: uniform legitimate question, perfect round, then flips.
 
-    The perfect round uses the parity-tracking strategy (n-1 fair bits plus a
-    parity fix); flips then land on the classical outputs.
+    Questions are uniform in the even parity class and the perfect round's
+    answers uniform in the class each question demands, both packed uint64
+    from `quantum.sample_parity_class`.  Flips then land on the classical
+    outputs, drawn a chunk of at most ANALYTIC_CHUNK of them at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # uniform legitimate question: n-1 free bits, last bit fixes even weight
-    qfree = rng.integers(0, 2, size=(trials, n - 1), dtype=np.int64)
-    qlast = qfree.sum(axis=1) & 1
-    weight = qfree.sum(axis=1) + qlast
-    target = (weight >> 1) & 1
-    # perfect quantum answer: uniform within the demanded parity class
-    afree = rng.integers(0, 2, size=(trials, n - 1), dtype=np.int64)
-    alast = (afree.sum(axis=1) + target) & 1
-    flips = rng.random((trials, n)) < (1.0 - model.p)
-    noisy_parity = (afree.sum(axis=1) + alast + flips.sum(axis=1)) & 1
-    wins = int((noisy_parity == target).sum())
+    if n > quantum.ANALYTIC_LIMIT:
+        raise ValueError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
+    questions = quantum.sample_parity_class(n, np.zeros(trials, dtype=np.uint8), rng)
+    answers = quantum.sample_parity_class(n, np.bitwise_count(questions) >> 1 & 1, rng)
+    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    step = max(1, quantum.ANALYTIC_CHUNK // n)
+    wins = 0
+    for start in range(0, trials, step):
+        flips = rng.random((min(step, trials - start), n)) < (1.0 - model.p)
+        noisy = answers[start : start + step] ^ (flips * place).sum(axis=1)
+        wins += int(np.count_nonzero(appropriate(questions[start : start + step], noisy)))
     return MonteCarloEstimate(wins, trials)
 
 
@@ -154,17 +166,8 @@ def extended_answer(strat: ExtendedStrategy, q: Question) -> Answer:
     """Evaluate the table on a question; no-output entries become bot positions."""
     if strat.n != q.n:
         raise ValueError(f"size mismatch: strategy n={strat.n}, question n={q.n}")
-    bits = 0
-    mask = 0
-    for player in range(1, q.n + 1):
-        out = strat.outputs[player - 1][q.bit(player)]
-        bits <<= 1
-        mask <<= 1
-        if out is None:
-            mask |= 1
-        else:
-            bits |= out
-    return Answer(q.n, bits, mask)
+    bits = answer_bits(*output_masks(strat.outputs), q.bits)
+    return Answer(q.n, bits, answer_bits(*output_masks(strat.outputs, None), q.bits))
 
 
 def is_error_free(strat: ExtendedStrategy, cfg: GameConfig) -> bool:
@@ -247,40 +250,47 @@ class ComparisonRecord:
 
 def compare_report(
     n_values: list[int],
-    p_grid: list[float] | None = None,
-    eta_grid: list[float] | None = None,
+    p_grid: list[Fraction | float] | None = None,
+    eta_grid: list[Fraction | float] | None = None,
 ) -> list[ComparisonRecord]:
-    """Tabulate noisy-quantum vs classical over grids of reliabilities/efficiencies."""
+    """Tabulate noisy-quantum vs classical over grids of reliabilities/efficiencies.
+
+    Flags are decided in exact arithmetic on each grid value; the records
+    show the value and the quantum win probability as floats.
+    """
     records = []
     for n in n_values:
         for p in p_grid or []:
-            quantum = bitflip_win_prob(n, BitFlipModel(p))
+            a, b = p.as_integer_ratio()
+            # (2p-1)^n > 2^(1-ceil(n/2)), both sides times b^n 2^(ceil(n/2)-1)
+            quantum_wins = ((2 * a - b) ** n << (n + 1) // 2 - 1) > b**n
             bound = classical_bound(n)
             records.append(
                 ComparisonRecord(
                     kind="bitflip",
                     n=n,
-                    param=p,
-                    quantum=quantum,
+                    param=float(p),
+                    quantum=bitflip_win_prob(n, BitFlipModel(float(p))),
                     classical=float(bound),
                     classical_exact=bound,
                     threshold=bitflip_threshold(n),
-                    flag="quantum-wins" if quantum > bound else "classical-reachable",
+                    flag="quantum-wins" if quantum_wins else "classical-reachable",
                 )
             )
         for eta in eta_grid or []:
-            quantum = detection_win_prob(n, DetectionModel(eta))
+            a, b = eta.as_integer_ratio()
+            quantum_wins = (a**n << n - 2) > b**n  # eta^n > 2^(2-n), times b^n 2^(n-2)
             bound = Fraction(2, 1 << (n - 1))
             records.append(
                 ComparisonRecord(
                     kind="detection",
                     n=n,
-                    param=eta,
-                    quantum=quantum,
+                    param=float(eta),
+                    quantum=detection_win_prob(n, DetectionModel(float(eta))),
                     classical=float(bound),
                     classical_exact=bound,
                     threshold=detection_threshold(n),
-                    flag="quantum-wins" if quantum > bound else "classical-reachable",
+                    flag="quantum-wins" if quantum_wins else "classical-reachable",
                 )
             )
     return records
@@ -290,12 +300,9 @@ def _evaluate_error_free(strat: ExtendedStrategy, cfg: GameConfig) -> list[int] 
     """Won question bits if the table is error-free, else None."""
     if strat.n != cfg.n:
         raise ValueError(f"size mismatch: strategy n={strat.n}, config n={cfg.n}")
-    won = []
-    for x in legitimate_bits(cfg.n):
-        a = extended_answer(strat, Question(cfg.n, x))
-        if a.has_bot:
-            continue
-        if a.parity != (x.bit_count() >> 1) & 1:
-            return None
-        won.append(x)
-    return won
+    q = legitimate_bits(cfg.n)
+    decided = answer_bits(*output_masks(strat.outputs, None), q) == 0
+    right = appropriate(q, answer_bits(*output_masks(strat.outputs), q))
+    if np.any(decided & ~right):
+        return None
+    return q[decided].tolist()

@@ -37,6 +37,24 @@ def oracle_wins(outputs):
     return wins
 
 
+def answer_parity_oracle(strat, question_bits):
+    """Parity of the strategy's answer on a packed question, one player at a time."""
+    n = strat.n
+    parity = 0
+    for i in range(1, n + 1):
+        parity ^= strat.outputs[i - 1][(question_bits >> (n - i)) & 1]
+    return parity
+
+
+def count_wins_oracle(strat):
+    """Legitimate questions the strategy wins, one question at a time."""
+    wins = 0
+    for x in range(1 << strat.n):
+        if x.bit_count() % 2 == 0 and answer_parity_oracle(strat, x) == (x.bit_count() >> 1) & 1:
+            wins += 1
+    return wins
+
+
 def selector_mask_wins(n):
     """Brute-force oracle for the whole win table, one question at a time.
 
@@ -45,7 +63,7 @@ def selector_mask_wins(n):
     """
     codes = np.arange(1 << (2 * n), dtype=np.uint64)
     wins = np.zeros(codes.size, dtype=np.int64)
-    for x in legitimate_bits(n):
+    for x in legitimate_bits(n).tolist():
         mask = 0
         for i in range(1, n + 1):
             j = (x >> (n - i)) & 1
@@ -108,6 +126,41 @@ def test_strategy_score_example():
     score = strategy_score(all_players("00", 3))
     assert (score.re, score.im) == (-2, 2)
     assert (score.wins, score.losses) == (1, 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_success_proportion_matches_oracle_for_every_strategy(n):
+    for code in range(1 << (2 * n)):
+        strat = DeterministicStrategy.from_code(n, code)
+        assert success_proportion(strat) == Fraction(oracle_wins(strat.outputs), 1 << (n - 1))
+
+
+@given(st.integers(3, 10), st.data())
+@settings(max_examples=60)
+def test_strategy_score_counts_wins_like_the_parity_loop(n, data):
+    strat = DeterministicStrategy.from_code(n, data.draw(st.integers(0, (1 << (2 * n)) - 1)))
+    score = strategy_score(strat)
+    assert score.wins == count_wins_oracle(strat)
+    assert success_proportion(strat) == Fraction(score.wins, 1 << (n - 1))
+
+
+@given(st.integers(3, 7), st.data())
+@settings(max_examples=40, deadline=None)
+def test_win_matrix_users_match_the_parity_loop(n, data):
+    codes = data.draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), min_size=1, max_size=12))
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(codes), max_size=len(codes)))
+    strategies = [DeterministicStrategy.from_code(n, c) for c in codes]
+    mix = ProbabilisticStrategy(
+        tuple(strategies), tuple(Fraction(w, sum(weights)) for w in weights)
+    )
+    questions = [x for x in range(1 << n) if x.bit_count() % 2 == 0]
+    won = [
+        [answer_parity_oracle(s, x) == (x.bit_count() >> 1) & 1 for s in strategies]
+        for x in questions
+    ]
+    assert per_question_win_counts(strategies, GameConfig(n)) == [sum(row) for row in won]
+    want = [sum((w for w, ok in zip(mix.weights, row) if ok), Fraction(0)) for row in won]
+    assert mix.win_probabilities() == want
 
 
 @given(st.integers(3, 10), st.data())

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -260,3 +262,79 @@ def test_seeded_report_digest_is_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_grid_steps_are_exact_decimals(capsys):
+    # 1e-3 has no decimal point, yet the grid is 0.500, 0.501, ..., 0.510
+    code, report = run_json(capsys, "noise", "--n", "3", "--p", "0.5:0.51:1e-3")
+    assert code == 0
+    points = [r["p"] for r in report["records"] if r["kind"] == "bitflip"]
+    assert points == [float(Fraction(500 + k, 1000)) for k in range(11)]
+
+
+def test_grid_flags_match_exact_oracle(capsys):
+    _, report = run_json(capsys, "noise", "--n", "3..12", "--p", "0.80:0.99:0.001")
+    _, detect = run_json(capsys, "detect", "--n", "3..5", "--eta", "0.5:1.0:0.001")
+    records = [r for r in report["records"] + detect["records"] if "flag" in r]
+    assert len(records) == 10 * 191 + 3 * 501
+    for rec in records:
+        n = rec["n"]
+        if rec["kind"] == "bitflip":
+            exact = (2 * Fraction(str(rec["p"])) - 1) ** n > Fraction(2, 2 ** math.ceil(n / 2))
+        else:
+            exact = Fraction(str(rec["eta"])) ** n > Fraction(4, 2**n)
+        assert (rec["flag"] == "quantum-wins") == exact
+
+
+def one_error_line(capsys):
+    captured = capsys.readouterr()
+    return captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["noise", "--n", "3", "--p", "0.5:1.0:0.0000001"],
+        ["noise", "--n", "3..4", "--p", "0.5:1.0:0.00001"],  # 50 001 values, twice
+        ["detect", "--n", "3", "--eta", "0:1:1e-999999999"],
+        ["noise", "--n", "3..1000000000", "--p", "0.9"],
+    ],
+)
+def test_huge_grid_is_refused_up_front(capsys, argv):
+    assert main(argv) == 1
+    assert one_error_line(capsys)
+
+
+def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
+    monkeypatch.setattr("ghzgame.cli.GRID_LIMIT", 12)
+    assert main(["noise", "--n", "3..4", "--p", "0.5:0.55:0.01"]) == 0  # 2 x 6 points
+    capsys.readouterr()
+    assert main(["noise", "--n", "3..4", "--p", "0.5:0.56:0.01"]) == 1  # 2 x 7 points
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--quantum-trials", "0"],
+        ["report", "--mc-trials", "0"],
+        ["noise", "--n", "3", "--p", "0.9", "--trials", "-5"],
+        ["noise", "--n", "63", "--p", "0.9", "--trials", "10"],
+        ["noise", "--n", "3", "--p", "inf"],
+    ],
+)
+def test_bad_counts_and_values_end_in_one_line(capsys, argv):
+    assert main(argv) == 1
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "n,p", [(3, "0.89685026299204987868"), (4, "0.92044820762685726151"), (11, "0.86487002642036155896")]
+)
+def test_grid_value_within_rounding_of_the_threshold_passes(capsys, n, p):
+    # the float threshold cannot order these values; the exact flag still decides them
+    code, report = run_json(capsys, "noise", "--n", str(n), "--p", p)
+    assert code == 0
+    (rec,) = [r for r in report["records"] if r["kind"] == "bitflip"]
+    exact = (2 * Fraction(p) - 1) ** n > Fraction(2, 2 ** math.ceil(n / 2))
+    assert (rec["flag"] == "quantum-wins") == exact

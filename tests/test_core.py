@@ -1,17 +1,34 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzgame.classical import DeterministicStrategy, eval_answer
 from ghzgame.core import (
     Answer,
     GameConfig,
     Question,
+    answer_bits,
+    appropriate,
     enumerate_legitimate,
     is_appropriate,
     is_legitimate,
     legitimate_bits,
+    output_masks,
     target_parity,
 )
+from ghzgame.noise import ExtendedStrategy, extended_answer
+
+
+def lookup_answer(outputs, q):
+    """Oracle: (answer bits, no-output mask), one player's table entry at a time."""
+    n = len(outputs)
+    bits = bot = 0
+    for i, pair in enumerate(outputs, start=1):
+        out = pair[(q >> (n - i)) & 1]
+        bits = (bits << 1) | (out == 1)
+        bot = (bot << 1) | (out is None)
+    return bits, bot
 
 
 def test_config_rejects_small_n():
@@ -52,8 +69,50 @@ def test_legitimate_count(n):
 
 
 def test_enumeration_is_sorted():
-    bits = legitimate_bits(6)
+    bits = legitimate_bits(6).tolist()
     assert bits == sorted(bits)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_legitimate_bits_are_the_even_weight_strings(n):
+    bits = legitimate_bits(n)
+    assert bits.dtype == np.uint64
+    assert bits.tolist() == [x for x in range(1 << n) if x.bit_count() % 2 == 0]
+
+
+def tables(n, outputs):
+    pair = st.tuples(st.sampled_from(outputs), st.sampled_from(outputs))
+    return st.lists(pair, min_size=n, max_size=n).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(tables(n, (0, 1)), tables(n, (0, 1, None)))))
+def test_answer_kernel_matches_per_player_lookup(args):
+    deterministic, extended = args
+    n = len(extended)
+    questions = legitimate_bits(n)
+    for outputs in (deterministic, extended):
+        ones, bots = output_masks(outputs), output_masks(outputs, None)
+        want = [lookup_answer(outputs, q) for q in questions.tolist()]
+        # broadcast over a uint64 array of questions, and on one Python int at a time
+        got = zip(answer_bits(*ones, questions).tolist(), answer_bits(*bots, questions).tolist())
+        assert list(got) == want
+        assert [(answer_bits(*ones, q), answer_bits(*bots, q)) for q in questions.tolist()] == want
+    # the Question-level evaluators are built on the kernel
+    for q in questions[:64].tolist():
+        got = extended_answer(ExtendedStrategy(extended), Question(n, q))
+        assert (got.bits, got.bot_mask) == lookup_answer(extended, q)
+        got = eval_answer(DeterministicStrategy(deterministic), Question(n, q))
+        assert (got.bits, got.bot_mask) == lookup_answer(deterministic, q)
+
+
+@given(st.integers(3, 12), st.integers(0, 2**32))
+def test_packed_appropriateness_matches_is_appropriate(n, seed):
+    questions = legitimate_bits(n)
+    answers = np.random.default_rng(seed).integers(0, 1 << n, size=questions.size, dtype=np.uint64)
+    pairs = zip(questions.tolist(), answers.tolist())
+    want = [is_appropriate(Question(n, q), Answer(n, a)) for q, a in pairs]
+    assert appropriate(questions, answers).tolist() == want
 
 
 def test_answer_string_roundtrip():

@@ -1,9 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghzgame import quantum
 from ghzgame.classical import classical_bound
 from ghzgame.core import GameConfig, Question, legitimate_bits
 from ghzgame.noise import (
@@ -31,13 +35,40 @@ def binomial_even_error_sum(n, p):
     )
 
 
+def int64_monte_carlo_wins(n, p, trials, rng):
+    """Oracle: the bit-flip Monte Carlo as (trials, n) int64 and float arrays, drawn at once."""
+    qfree = rng.integers(0, 2, size=(trials, n - 1), dtype=np.int64)
+    qlast = qfree.sum(axis=1) & 1
+    target = ((qfree.sum(axis=1) + qlast) >> 1) & 1
+    afree = rng.integers(0, 2, size=(trials, n - 1), dtype=np.int64)
+    alast = (afree.sum(axis=1) + target) & 1
+    flips = rng.random((trials, n)) < (1.0 - p)
+    noisy_parity = (afree.sum(axis=1) + alast + flips.sum(axis=1)) & 1
+    return int((noisy_parity == target).sum())
+
+
+def lookup_error_free(strat, n):
+    """Oracle: won questions of an error-free table (None otherwise), player by player."""
+    won = []
+    for x in range(1 << n):
+        if x.bit_count() % 2:
+            continue
+        outs = [strat.outputs[i][(x >> (n - 1 - i)) & 1] for i in range(n)]
+        if None in outs:
+            continue
+        if sum(outs) % 2 != (x.bit_count() >> 1) & 1:
+            return None
+        won.append(x)
+    return won
+
+
 def itertools_errorfree_sweep(n):
     """Oracle for the no-output sweep: every table in itertools.product order, question by question.
 
     Returns the best win count and (position in the sweep, table) for every
     table attaining it.
     """
-    questions = legitimate_bits(n)
+    questions = legitimate_bits(n).tolist()
     targets = [(x.bit_count() >> 1) & 1 for x in questions]
     inputs = [tuple((x >> (n - i)) & 1 for i in range(1, n + 1)) for x in questions]
     pairs = [(a, b) for a in (0, 1, None) for b in (0, 1, None)]
@@ -143,6 +174,31 @@ def test_monte_carlo_matches_closed_form(n, p):
     assert abs(est.estimate - want) <= 4 * est.std_error
 
 
+@pytest.mark.parametrize(
+    "n,p,trials,chunk",
+    [
+        (3, 0.9, 1000, 7),
+        (3, 0.9, 10**5, 1 << 18),
+        (5, 0.85, 77777, 1000),
+        (9, 0.93, 20000, 50),
+        (9, 0.9, 10**5, 1 << 18),
+        (12, 0.7, 333, 5),
+    ],
+)
+def test_monte_carlo_draws_like_the_int64_oracle(monkeypatch, n, p, trials, chunk):
+    # a small chunk splits the question, answer and flip draws across many calls
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
+    ours, oracle = np.random.default_rng(trials), np.random.default_rng(trials)
+    est = bitflip_monte_carlo(n, BitFlipModel(p), trials, ours)
+    assert est.wins == int64_monte_carlo_wins(n, p, trials, oracle)
+    assert ours.random() == oracle.random()
+
+
+def test_monte_carlo_refuses_beyond_the_analytic_limit():
+    with pytest.raises(ValueError):
+        bitflip_monte_carlo(63, BitFlipModel(0.9), 10, np.random.default_rng(0))
+
+
 def test_monte_carlo_is_seed_deterministic():
     a = bitflip_monte_carlo(3, BitFlipModel(0.9), 10000, np.random.default_rng(9))
     b = bitflip_monte_carlo(3, BitFlipModel(0.9), 10000, np.random.default_rng(9))
@@ -238,6 +294,20 @@ def test_reference_strategy_example_answers():
     assert a.has_bot  # third player declines, the round is a draw
 
 
+EXTENDED_PAIR = st.tuples(st.sampled_from((0, 1, None)), st.sampled_from((0, 1, None)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.lists(EXTENDED_PAIR, min_size=n, max_size=n)))
+def test_error_free_evaluation_matches_player_lookup(outputs):
+    strat = ExtendedStrategy(tuple(outputs))
+    cfg = GameConfig(len(outputs))
+    want = lookup_error_free(strat, cfg.n)
+    assert is_error_free(strat, cfg) == (want is not None)
+    if want is not None:
+        assert [q.bits for q in winnable_questions(strat, cfg)] == want
+
+
 def test_non_errorfree_table_is_rejected():
     # all players always output 0: inappropriate on weight-2 questions
     table = ExtendedStrategy(((0, 0),) * 3)
@@ -263,6 +333,20 @@ def test_compare_report_flags():
     assert by_key[("detection", 0.6)].flag == "classical-reachable"
     for r in recs:
         assert (r.param > r.threshold) == (r.flag == "quantum-wins")
+
+
+def test_compare_report_flags_match_exact_oracle():
+    # grid values in exact arithmetic, plus floats within an ulp or so of each threshold
+    for n in range(3, 41):
+        p_grid = [Fraction(k, 1000) for k in range(500, 1001, 7)]
+        eta_grid = [Fraction(k, 1000) for k in range(0, 1001, 7)]
+        for thr, grid in ((bitflip_threshold(n), p_grid), (detection_threshold(n), eta_grid)):
+            grid += [math.nextafter(thr, 0.0), thr, math.nextafter(thr, 2.0)]
+        recs = compare_report([n], p_grid=p_grid, eta_grid=eta_grid)
+        want = [Fraction(1, 2) + (2 * Fraction(p) - 1) ** n / 2 > classical_bound(n) for p in p_grid]
+        want += [Fraction(eta) ** n > Fraction(2, 2 ** (n - 1)) for eta in eta_grid]
+        assert [r.flag == "quantum-wins" for r in recs] == want
+        assert [r.param for r in recs] == [float(x) for x in p_grid + eta_grid]
 
 
 def test_compare_report_detection_example():
