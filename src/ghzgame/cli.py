@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, classical, noise, quantum
-from .core import GameConfig, Question, SettingError, legitimate_bits
+from .core import GameConfig, SettingError, legitimate_bits
 
 DEFAULT_SEED = 42
 
@@ -37,7 +37,8 @@ REPORT_QUANTUM_N = range(3, 9)
 REPORT_ERRORFREE_N = (3, 4)
 #: witness CSV rows formatted per write
 WITNESS_BLOCK = 4096
-#: grid points (player counts times grid values) one command computes at most
+#: player counts, and grid points (player counts times grid values), that one
+#: command computes at most
 GRID_LIMIT = 10**5
 #: largest decimal exponent a grid value may carry, so parsing it stays cheap
 GRID_EXPONENT = 40
@@ -183,7 +184,7 @@ def cmd_quantum(args) -> dict:
     checks = [_check("quantum_win_rate_is_one", wins == rounds)]
     if args.dense_check:
         _require_within(n, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT")
-        ok, questions_checked = _dense_consistency(n, rng)
+        ok, questions_checked = quantum.dense_check(n, rng)
         records.append(
             {
                 "n": n,
@@ -295,7 +296,7 @@ def cmd_report(args) -> dict:
         questions = legitimate_bits(n)
         wins = quantum.analytic_wins(n, questions, args.quantum_trials, rng)
         rounds = args.quantum_trials * questions.size
-        dense_ok, _ = _dense_consistency(n, rng)
+        dense_ok, _ = quantum.dense_check(n, rng)
         records.append(
             {
                 "section": "quantum",
@@ -380,16 +381,6 @@ def cmd_report(args) -> dict:
 # ---------------------------------------------------------------- helpers
 
 
-def _dense_consistency(n: int, rng: np.random.Generator) -> tuple[bool, int]:
-    """Dense pipeline agrees with phase tracking: one parity class, flat weights."""
-    if n <= 12:
-        questions = legitimate_bits(n)
-    else:
-        questions = quantum.sample_parity_class(n, np.zeros(256, dtype=np.uint8), rng)
-    ok = all(quantum.dense_matches_analytic(Question(n, q)) for q in questions.tolist())
-    return ok, questions.size
-
-
 def _reference_wins_expected(n: int) -> bool:
     cfg = GameConfig(n)
     strat = noise.errorfree_reference_strategy(cfg)
@@ -449,6 +440,10 @@ def _parse_range(text: str) -> range:
     if not values:
         raise UsageError(f"empty n range {text!r}")
     _require_at_least(values[0], 3, "--n")
+    if len(values) > GRID_LIMIT:
+        raise UsageError(
+            f"n range {text!r} has {len(values)} player counts, more than the limit {GRID_LIMIT}"
+        )
     return values
 
 

@@ -31,6 +31,8 @@ from .core import (
 )
 
 DEFAULT_EXTENDED_LIMIT = 5
+#: a batch of geometric gaps covers the expected flips plus this many standard deviations
+GAP_SLACK = 5
 #: an extended output pair (a, b) has code 3*index(a) + index(b) in this tuple
 EXTENDED_OUTPUTS = (0, 1, None)
 
@@ -114,25 +116,58 @@ def bitflip_monte_carlo(
 ) -> MonteCarloEstimate:
     """Sample noisy rounds: uniform legitimate question, perfect round, then flips.
 
-    Questions are uniform in the even parity class and the perfect round's
-    answers uniform in the class each question demands, both packed uint64
-    from `quantum.sample_parity_class`.  Flips then land on the classical
-    outputs, drawn a chunk of at most ANALYTIC_CHUNK of them at a time.
+    Rounds are drawn a chunk of ANALYTIC_CHUNK // n at a time: the chunk's
+    questions, uniform in the even parity class, then the perfect round's
+    answers, uniform in the class each question demands (both packed uint64
+    from `quantum.sample_parity_class`), then the flips of `_flip_masks`.
+    Each noisy round is then checked with `core.appropriate`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n > quantum.ANALYTIC_LIMIT:
         raise ValueError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
-    questions = quantum.sample_parity_class(n, np.zeros(trials, dtype=np.uint8), rng)
-    answers = quantum.sample_parity_class(n, np.bitwise_count(questions) >> 1 & 1, rng)
-    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
     step = max(1, quantum.ANALYTIC_CHUNK // n)
     wins = 0
     for start in range(0, trials, step):
-        flips = rng.random((min(step, trials - start), n)) < (1.0 - model.p)
-        noisy = answers[start : start + step] ^ (flips * place).sum(axis=1)
-        wins += int(np.count_nonzero(appropriate(questions[start : start + step], noisy)))
+        rows = min(step, trials - start)
+        questions = quantum.sample_parity_class(n, np.zeros(rows, dtype=np.uint8), rng)
+        answers = quantum.sample_parity_class(n, np.bitwise_count(questions) >> 1 & 1, rng)
+        answers ^= _flip_masks(n, rows, model, rng)
+        wins += int(np.count_nonzero(appropriate(questions, answers)))
     return MonteCarloEstimate(wins, trials)
+
+
+def _flip_masks(n: int, rows: int, model: BitFlipModel, rng: np.random.Generator) -> np.ndarray:
+    """Packed flips of `rows` rounds, player 1 the most significant bit of each.
+
+    Every output flips on its own with probability 1-p.  The rows * n cells
+    are laid out player by player (cell j*rows + r is player j+1 in row r),
+    and the gaps between flipped cells are drawn as geometric numbers: about
+    n(1-p) numbers a round, and none at p = 1.  Gaps are drawn in batches
+    of the expected count plus GAP_SLACK standard deviations, a further
+    batch for the cells left whenever one falls short.
+    """
+    masks = np.zeros(rows, dtype=np.uint64)
+    rate = 1.0 - model.p
+    if rate == 0.0:
+        return masks
+    cells = rows * n
+    found = []
+    last = -1  # the last flipped cell drawn so far
+    while last < cells - 1:
+        expected = (cells - 1 - last) * rate
+        gaps = rng.geometric(rate, size=int(expected + GAP_SLACK * math.sqrt(expected)) + 1)
+        # a gap past every cell ends the chunk: capping it keeps the sums in range
+        np.minimum(gaps, cells + 1, out=gaps)
+        found.append(last + np.cumsum(gaps))
+        last = int(found[-1][-1])
+    flipped = np.concatenate(found)
+    bounds = np.searchsorted(flipped, np.arange(n + 1) * rows)
+    for player in range(n):
+        # distinct cells of one player are distinct rows, so fancy indexing is exact
+        row = flipped[bounds[player] : bounds[player + 1]] - player * rows
+        masks[row] |= np.uint64(1 << (n - 1 - player))
+    return masks
 
 
 @dataclass(frozen=True)
@@ -260,11 +295,12 @@ def compare_report(
     """
     records = []
     for n in n_values:
+        bound = classical_bound(n)
+        threshold = bitflip_threshold(n)
         for p in p_grid or []:
             a, b = p.as_integer_ratio()
             # (2p-1)^n > 2^(1-ceil(n/2)), both sides times b^n 2^(ceil(n/2)-1)
             quantum_wins = ((2 * a - b) ** n << (n + 1) // 2 - 1) > b**n
-            bound = classical_bound(n)
             records.append(
                 ComparisonRecord(
                     kind="bitflip",
@@ -273,14 +309,15 @@ def compare_report(
                     quantum=bitflip_win_prob(n, BitFlipModel(float(p))),
                     classical=float(bound),
                     classical_exact=bound,
-                    threshold=bitflip_threshold(n),
+                    threshold=threshold,
                     flag="quantum-wins" if quantum_wins else "classical-reachable",
                 )
             )
+        bound = Fraction(2, 1 << (n - 1))
+        threshold = detection_threshold(n)
         for eta in eta_grid or []:
             a, b = eta.as_integer_ratio()
             quantum_wins = (a**n << n - 2) > b**n  # eta^n > 2^(2-n), times b^n 2^(n-2)
-            bound = Fraction(2, 1 << (n - 1))
             records.append(
                 ComparisonRecord(
                     kind="detection",
@@ -289,7 +326,7 @@ def compare_report(
                     quantum=detection_win_prob(n, DetectionModel(float(eta))),
                     classical=float(bound),
                     classical_exact=bound,
-                    threshold=detection_threshold(n),
+                    threshold=threshold,
                     flag="quantum-wins" if quantum_wins else "classical-reachable",
                 )
             )

@@ -3,9 +3,10 @@
 The analytic path tracks only which of the two GHZ phase states the players
 hold after their conditional phase gates; it is pure parity logic with no
 floating point, so it scales to word-sized n.  Its rounds are packed uint64
-outcomes, drawn and checked a chunk at a time.  The dense path simulates the
-full 2^n statevector gate by gate and exists as an independent cross-check
-oracle.
+outcomes, one random word each, drawn and checked a chunk at a time.  The
+dense path simulates the full 2^n statevector gate by gate and exists as an
+independent cross-check oracle; a check of many questions runs them all in
+one `DenseWork`.
 
 Basis indexing matches `core`: player 1's qubit is the most significant bit
 of the basis index.
@@ -18,7 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Answer, GameConfig, Question, env_limit, is_legitimate, target_parity
+from .core import (
+    Answer,
+    GameConfig,
+    Question,
+    env_limit,
+    is_legitimate,
+    legitimate_bits,
+    target_parity,
+)
 
 NORM_TOL = 1e-12
 
@@ -26,8 +35,12 @@ NORM_TOL = 1e-12
 DEFAULT_DENSE_LIMIT = 20
 #: the analytic path only needs n to fit comfortably in a machine word
 ANALYTIC_LIMIT = 62
-#: analytic rounds draw at most this many fair bits at a time
+#: analytic rounds are drawn and checked at most this many at a time
 ANALYTIC_CHUNK = 1 << 18
+#: the dense check covers every question up to this n, and samples beyond it
+DENSE_ALL_QUESTIONS = 12
+#: questions the dense check samples beyond DENSE_ALL_QUESTIONS
+DENSE_SAMPLED_QUESTIONS = 256
 #: the Hadamard transform acts on at most this many qubits per matrix product
 HADAMARD_LAYER = 4
 #: multiply-adds per matrix product at most; OpenBLAS runs products this small
@@ -44,17 +57,31 @@ def dense_limit() -> int:
     return env_limit("GAME_DENSE_LIMIT", DEFAULT_DENSE_LIMIT)
 
 
+class DenseWork:
+    """Every buffer of 2^n entries that one dense question needs.
+
+    A check of many questions allocates one and passes it to each call, so
+    its pages are mapped once and not once per question.  The state that
+    `question_state_dense` or `apply_hadamards_dense` returns lives in the
+    workspace and stays valid until its next use.
+    """
+
+    def __init__(self, n: int):
+        _require_dense(n)
+        size = 1 << n
+        self.n = n
+        self.state = np.empty(size, dtype=np.complex128)
+        self.phase = np.empty(size, dtype=np.complex128)
+        self.index = np.empty(size, dtype=np.intp)
+        self.probs = np.empty(size)
+        #: real and imaginary parts, twice: a Hadamard layer's input and output
+        self.planes = np.empty((2, 2, size))
+
+
 def ghz_state(cfg: GameConfig, sign: int = +1) -> np.ndarray:
     """Dense statevector (1/sqrt2)(|0^n> + sign|1^n>)."""
-    if cfg.n > dense_limit():
-        raise ValueError(f"n={cfg.n} exceeds the dense-vector limit {dense_limit()}")
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    state = np.zeros(1 << cfg.n, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(2.0)
-    state[0] = amp
-    state[-1] = sign * amp
-    return state
+    _require_dense(cfg.n)
+    return _fill_ghz(np.empty(1 << cfg.n, dtype=np.complex128), sign)
 
 
 def apply_phase_dense(state: np.ndarray, player: int) -> np.ndarray:
@@ -68,7 +95,7 @@ def apply_phase_dense(state: np.ndarray, player: int) -> np.ndarray:
     return out
 
 
-def apply_hadamards_dense(state: np.ndarray) -> np.ndarray:
+def apply_hadamards_dense(state: np.ndarray, work: DenseWork | None = None) -> np.ndarray:
     """Hadamard on every qubit (normalized Walsh-Hadamard transform).
 
     H^(x)n runs as layers of H^(x)k, k <= HADAMARD_LAYER.  A layer is a
@@ -78,12 +105,15 @@ def apply_hadamards_dense(state: np.ndarray) -> np.ndarray:
     in its place.  Two float buffers take turns as input and output.  A
     layer larger than HADAMARD_PRODUCT multiply-adds runs as several
     products, over blocks of the other qubits.
+
+    The result is written to `work.state` (`state` itself may be that
+    buffer); without a workspace, a fresh one is made.
     """
     n = _num_qubits(state)
-    src = np.empty((2, state.size))
+    work = _workspace(n, work)
+    src, dst = work.planes
     src[0] = state.real
     src[1] = state.imag
-    dst = np.empty_like(src)
     for k in _layer_widths(n):
         rest = state.size >> k
         # the longest power-of-two block whose product keeps within the cap
@@ -92,7 +122,7 @@ def apply_hadamards_dense(state: np.ndarray) -> np.ndarray:
         lowest_first = dst.reshape(2, 1 << k, rest // block, block).transpose(0, 2, 1, 3)
         np.matmul(_sylvester(k), lowest_last, out=lowest_first)
         src, dst = dst, src
-    out = np.empty(state.size, dtype=np.complex128)
+    out = work.state
     out.real = src[0]
     out.imag = src[1]
     return out
@@ -110,32 +140,35 @@ def apply_inputs_analytic(q: Question) -> int:
     return +1 if q.weight % 4 == 0 else -1
 
 
-def question_state_dense(q: Question) -> np.ndarray:
+def question_state_dense(q: Question, work: DenseWork | None = None) -> np.ndarray:
     """Pre-measurement state for a question: GHZ, then phase gates, then Hadamards.
 
     The phase gates of all players with input 1 commute, and together they
-    multiply basis state |x> by i^popcount(x & q): one diagonal.
+    multiply basis state |x> by i^popcount(x & q): one diagonal.  The state
+    is built in `work` (a fresh workspace without one).
     """
-    state = ghz_state(GameConfig(q.n))
-    state *= _I_POWERS.take(np.bitwise_count(_basis(q.n) & np.uint64(q.bits)), mode="wrap")
-    return apply_hadamards_dense(state)
+    work = _workspace(q.n, work)
+    state = _fill_ghz(work.state, +1)
+    exponent = np.bitwise_and(_basis(q.n), q.bits, out=work.index)
+    np.bitwise_count(exponent, out=exponent)
+    state *= np.take(_I_POWERS, exponent, mode="wrap", out=work.phase)
+    return apply_hadamards_dense(state, work)
 
 
 def sample_parity_class(n: int, parity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One uniformly random packed n-bit string per entry of `parity`, of that bit parity.
 
-    Each string is n-1 fair bits, most significant first, plus a last bit
-    that fixes the parity.  The bits are drawn ANALYTIC_CHUNK at a time.
+    Each string is one draw of n-1 fair bits, most significant first,
+    shifted up by one, plus a last bit that fixes the parity.  Strings are
+    drawn ANALYTIC_CHUNK at a time; where the chunks split does not change
+    the draws.
     """
     out = np.empty(len(parity), dtype=np.uint64)
-    shifts = np.arange(n - 1, 0, -1, dtype=np.uint64)
-    step = _chunk_rows(n)
-    for start in range(0, out.size, step):
-        want = parity[start : start + step]
-        free = rng.integers(0, 2, size=(want.size, n - 1), dtype=np.uint64)
-        free <<= shifts
-        packed = free.sum(axis=1)
-        out[start : start + want.size] = packed | ((np.bitwise_count(packed) + want) & 1)
+    for start in range(0, out.size, ANALYTIC_CHUNK):
+        want = parity[start : start + ANALYTIC_CHUNK]
+        free = rng.integers(0, 1 << (n - 1), size=want.size, dtype=np.uint64)
+        free <<= 1
+        np.bitwise_or(free, (np.bitwise_count(free) + want) & 1, out=out[start : start + want.size])
     return out
 
 
@@ -144,7 +177,7 @@ def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Gen
 
     Draws exactly what one `sample_answers` call per question, in order,
     would draw, but keeps the outcomes packed and checks their parity with
-    one popcount per chunk of at most ANALYTIC_CHUNK drawn bits.
+    one popcount per chunk of at most ANALYTIC_CHUNK rounds.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -155,10 +188,9 @@ def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Gen
         raise ValueError("a question violates the promise (odd weight)")
     parity = (weights >> 1) & 1
     rounds = parity.size * trials
-    step = _chunk_rows(n)
     wins = 0
-    for start in range(0, rounds, step):
-        want = parity[np.arange(start, min(start + step, rounds)) // trials]
+    for start in range(0, rounds, ANALYTIC_CHUNK):
+        want = parity[np.arange(start, min(start + ANALYTIC_CHUNK, rounds)) // trials]
         outcomes = sample_parity_class(n, want, rng)
         wins += int(np.count_nonzero((np.bitwise_count(outcomes) & 1) == want))
     return wins
@@ -192,28 +224,67 @@ def sample_answers(
     return [Answer(q.n, bits) for bits in outcomes.tolist()]
 
 
-def dense_matches_analytic(q: Question) -> bool:
+def dense_matches_analytic(q: Question, work: DenseWork | None = None) -> bool:
     """Cross-check: the dense pipeline must land flat on the analytic parity class.
 
     After the phase gates and Hadamards the statevector has to be supported
     on exactly one parity class, with every squared amplitude equal to
     2^(1-n) within tolerance, and the class must match the tracked sign.
+    Runs in `work` (a fresh workspace without one).
     """
-    state = question_state_dense(q)
+    work = _workspace(q.n, work)
+    state = question_state_dense(q, work)
     want = _flat_on_class(q.n)[int(apply_inputs_analytic(q) < 0)]
-    probs = state.real**2 + state.imag**2
-    return bool(np.abs(probs - want).max() <= NORM_TOL)
+    probs = np.abs(state, out=work.probs)
+    probs *= probs
+    probs -= want
+    return bool(np.abs(probs, out=probs).max() <= NORM_TOL)
 
 
-def _chunk_rows(n: int) -> int:
-    """Strings of n-1 drawn bits that fit in one chunk."""
-    return max(1, ANALYTIC_CHUNK // (n - 1))
+def dense_check(n: int, rng: np.random.Generator) -> tuple[bool, int]:
+    """Dense pipeline agrees with phase tracking: one parity class, flat weights.
+
+    Checks every legitimate question up to DENSE_ALL_QUESTIONS players, and
+    DENSE_SAMPLED_QUESTIONS drawn ones beyond, all in one workspace.
+    Returns whether all agree and how many questions were checked.
+    """
+    if n <= DENSE_ALL_QUESTIONS:
+        questions = legitimate_bits(n)
+    else:
+        parity = np.zeros(DENSE_SAMPLED_QUESTIONS, dtype=np.uint8)
+        questions = sample_parity_class(n, parity, rng)
+    work = DenseWork(n)
+    ok = all(dense_matches_analytic(Question(n, q), work) for q in questions.tolist())
+    return ok, questions.size
+
+
+def _require_dense(n: int) -> None:
+    if n > dense_limit():
+        raise ValueError(f"n={n} exceeds the dense-vector limit {dense_limit()}")
+
+
+def _workspace(n: int, work: DenseWork | None) -> DenseWork:
+    if work is None:
+        return DenseWork(n)
+    if work.n != n:
+        raise ValueError(f"workspace is for n={work.n}, not n={n}")
+    return work
+
+
+def _fill_ghz(state: np.ndarray, sign: int) -> np.ndarray:
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    state.fill(0.0)
+    amp = 1.0 / math.sqrt(2.0)
+    state[0] = amp
+    state[-1] = sign * amp
+    return state
 
 
 @lru_cache(maxsize=4)
 def _basis(n: int) -> np.ndarray:
-    """Basis indices 0..2^n-1 as uint64, shared read-only."""
-    idx = np.arange(1 << n, dtype=np.uint64)
+    """Basis indices 0..2^n-1, shared read-only."""
+    idx = np.arange(1 << n, dtype=np.intp)
     idx.flags.writeable = False
     return idx
 

@@ -242,7 +242,8 @@ def test_witness_csv_matches_csv_writer_oracle(capsys, monkeypatch, tmp_path, n)
 
 
 # SHA-256 of seeded JSON reports: any change to the RNG stream or the report
-# layout shows up here and has to be declared
+# layout shows up here and has to be declared.  The Monte Carlo numbers of the
+# report and noise runs are checked against the per-round oracle in test_noise.
 PINNED_REPORTS = [
     pytest.param(
         ["quantum", "--n", "13", "--trials", "3", "--dense-check", "--seed", "5"],
@@ -251,8 +252,13 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ["report", "--quantum-trials", "5", "--mc-trials", "1000"],
-        "f550f772a9a5f2fdfe89b5e3fb57d2756b71f5b8b889f8ba7e1785a2c8bcb91c",
+        "75d22f2d6690a41831dd6f0dbb77fd773fc289c323d7e36d17ada0464e04fa97",
         id="report",
+    ),
+    pytest.param(
+        ["noise", "--n", "3..5", "--p", "0.8:0.9:0.05", "--trials", "1000", "--seed", "7"],
+        "0e05a15b9afc81f0bae8009bcad83ed47eb119c48fa0be2e31baee97ba132085",
+        id="noise",
     ),
 ]
 
@@ -298,10 +304,20 @@ def one_error_line(capsys):
         ["noise", "--n", "3..4", "--p", "0.5:1.0:0.00001"],  # 50 001 values, twice
         ["detect", "--n", "3", "--eta", "0:1:1e-999999999"],
         ["noise", "--n", "3..1000000000", "--p", "0.9"],
+        ["noise", "--n", "3..300000"],
     ],
 )
 def test_huge_grid_is_refused_up_front(capsys, argv):
     assert main(argv) == 1
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["noise", "detect"])
+def test_player_counts_are_bounded_without_a_grid(capsys, monkeypatch, command):
+    monkeypatch.setattr("ghzgame.cli.GRID_LIMIT", 3)
+    assert main([command, "--n", "3..5"]) == 0
+    capsys.readouterr()
+    assert main([command, "--n", "3..6"]) == 1
     assert one_error_line(capsys)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzgame import quantum
+from ghzgame import cli, noise, quantum
 from ghzgame.classical import classical_bound
 from ghzgame.core import GameConfig, Question, legitimate_bits
 from ghzgame.noise import (
+    GAP_SLACK,
     BitFlipModel,
     DetectionModel,
     ExtendedStrategy,
@@ -35,16 +37,46 @@ def binomial_even_error_sum(n, p):
     )
 
 
-def int64_monte_carlo_wins(n, p, trials, rng):
-    """Oracle: the bit-flip Monte Carlo as (trials, n) int64 and float arrays, drawn at once."""
-    qfree = rng.integers(0, 2, size=(trials, n - 1), dtype=np.int64)
-    qlast = qfree.sum(axis=1) & 1
-    target = ((qfree.sum(axis=1) + qlast) >> 1) & 1
-    afree = rng.integers(0, 2, size=(trials, n - 1), dtype=np.int64)
-    alast = (afree.sum(axis=1) + target) & 1
-    flips = rng.random((trials, n)) < (1.0 - p)
-    noisy_parity = (afree.sum(axis=1) + alast + flips.sum(axis=1)) & 1
-    return int((noisy_parity == target).sum())
+def int64_monte_carlo_wins(n, p, trials, chunk, rng):
+    """Oracle: the bit-flip Monte Carlo one round at a time, on Python ints.
+
+    A chunk of max(1, chunk // n) rounds draws each round's question, then
+    each round's perfect answer, then the flipped cells of the chunk.
+    """
+    step = max(1, chunk // n)
+    wins = 0
+    for start in range(0, trials, step):
+        rows = min(step, trials - start)
+        questions = [draw_of_parity(n, 0, rng) for _ in range(rows)]
+        answers = [draw_of_parity(n, (x.bit_count() >> 1) & 1, rng) for x in questions]
+        for cell in flipped_cells(n * rows, 1.0 - p, rng):
+            player, row = divmod(cell, rows)
+            answers[row] ^= 1 << (n - 1 - player)
+        wins += sum(a.bit_count() % 2 == (x.bit_count() >> 1) & 1 for x, a in zip(questions, answers))
+    return wins
+
+
+def draw_of_parity(n, parity, rng):
+    """One word of n-1 fair bits, shifted up by one, plus the bit that gives `parity`."""
+    free = int(rng.integers(0, 1 << (n - 1), dtype=np.uint64))
+    return free << 1 | (free.bit_count() + parity) & 1
+
+
+def flipped_cells(cells, rate, rng):
+    """Flipped cells (player * rows + row) below `cells`, one geometric gap at a time.
+
+    Gaps come in batches of the expected number of flips left plus
+    GAP_SLACK standard deviations, and every gap of a batch is drawn.
+    """
+    flipped = []
+    last = -1
+    while rate and last < cells - 1:
+        expected = (cells - 1 - last) * rate
+        for _ in range(int(expected + GAP_SLACK * math.sqrt(expected)) + 1):
+            last += int(rng.geometric(rate))
+            if last < cells:
+                flipped.append(last)
+    return flipped
 
 
 def lookup_error_free(strat, n):
@@ -183,6 +215,9 @@ def test_monte_carlo_matches_closed_form(n, p):
         (9, 0.93, 20000, 50),
         (9, 0.9, 10**5, 1 << 18),
         (12, 0.7, 333, 5),
+        (3, 0.99, 3000, 3),
+        (3, 0.999, 20000, 30),
+        (4, 1.0, 500, 9),
     ],
 )
 def test_monte_carlo_draws_like_the_int64_oracle(monkeypatch, n, p, trials, chunk):
@@ -190,8 +225,83 @@ def test_monte_carlo_draws_like_the_int64_oracle(monkeypatch, n, p, trials, chun
     monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
     ours, oracle = np.random.default_rng(trials), np.random.default_rng(trials)
     est = bitflip_monte_carlo(n, BitFlipModel(p), trials, ours)
-    assert est.wins == int64_monte_carlo_wins(n, p, trials, oracle)
+    assert est.wins == int64_monte_carlo_wins(n, p, trials, chunk, oracle)
     assert ours.random() == oracle.random()
+
+
+@pytest.mark.parametrize("n,rows,p", [(3, 1, 0.9), (4, 25, 0.5), (7, 10, 0.99), (62, 300, 0.95)])
+def test_flip_masks_set_the_bits_of_the_oracle_cells(n, rows, p):
+    ours, oracle = np.random.default_rng(rows), np.random.default_rng(rows)
+    for _ in range(20):
+        want = [0] * rows
+        for cell in flipped_cells(n * rows, 1.0 - p, oracle):
+            player, row = divmod(cell, rows)
+            want[row] |= 1 << (n - 1 - player)
+        assert noise._flip_masks(n, rows, BitFlipModel(p), ours).tolist() == want
+    assert ours.random() == oracle.random()
+
+
+def sampled_flips(monkeypatch, n, p, trials, chunk):
+    """The estimate of one seeded run and the flip masks it applied, row by row."""
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
+    drawn = []
+
+    def record(*args):
+        drawn.append(flip_masks(*args))
+        return drawn[-1]
+
+    flip_masks = noise._flip_masks
+    monkeypatch.setattr(noise, "_flip_masks", record)
+    est = bitflip_monte_carlo(n, BitFlipModel(p), trials, np.random.default_rng(n * 1000 + trials))
+    masks = np.concatenate(drawn)
+    assert masks.size == trials
+    # bit column j is player j + 1's flips, one row per round
+    return est, (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint64)) & 1 == 1
+
+
+@pytest.mark.parametrize("n,p", [(3, 0.5), (5, 0.8), (9, 0.99), (4, 1.0)])
+def test_chunked_flips_follow_the_model(monkeypatch, n, p):
+    # small chunks: gaps cross rows and players, and the rounds span many chunks
+    est, flips = sampled_flips(monkeypatch, n, p, 30000, 100)
+    rate = 1.0 - p
+    per_player = flips.mean(axis=0)
+    assert np.all(np.abs(per_player - rate) <= 5 * math.sqrt(rate * (1 - rate) / len(flips)))
+    both = rate**2
+    se = math.sqrt(both * (1 - both) / len(flips))
+    for j, k in [(0, 1), (0, n - 1), (n - 2, n - 1)]:
+        assert abs(np.mean(flips[:, j] & flips[:, k]) - both) <= 5 * se
+    # the same player in consecutive rounds, which the layout makes neighbouring cells
+    assert abs(np.mean(flips[1:, 0] & flips[:-1, 0]) - both) <= 5 * se
+    assert abs(est.estimate - binomial_even_error_sum(n, p)) <= 5 * est.std_error
+    if p == 1.0:
+        assert est.wins == est.trials
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["noise", "--n", "3..5", "--p", "0.8:0.9:0.05", "--trials", "1000", "--seed", "7"],
+        ["report", "--quantum-trials", "5", "--mc-trials", "1000"],
+    ],
+    ids=["noise", "report"],
+)
+def test_pinned_monte_carlo_records_follow_the_int64_oracle(capsys, argv):
+    # the runs whose digests test_cli pins: every Monte Carlo number comes from the oracle
+    assert cli.main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rng = np.random.default_rng(report["config"]["seed"])
+    chunk = quantum.ANALYTIC_CHUNK
+    if argv[0] == "noise":
+        records = [r for r in report["records"] if r["kind"] == "monte-carlo"]
+        assert len(records) == 3 * 3
+        for rec in records:
+            assert rec["wins"] == int64_monte_carlo_wins(rec["n"], rec["p"], 1000, chunk, rng)
+    else:
+        # the quantum section draws first; test_quantum checks those draws against their oracle
+        for n in cli.REPORT_QUANTUM_N:
+            quantum.analytic_wins(n, legitimate_bits(n), 5, rng)
+        (rec,) = [r for r in report["records"] if r.get("derivation") == "monte-carlo" and "p" in r]
+        assert rec["estimate"] == int64_monte_carlo_wins(3, 0.9, 1000, chunk, rng) / 1000
 
 
 def test_monte_carlo_refuses_beyond_the_analytic_limit():

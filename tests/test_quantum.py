@@ -60,13 +60,17 @@ def gate_by_gate_oracle(q):
 
 
 def per_question_outcomes_oracle(n, questions, trials, rng):
-    """Packed outcomes of `trials` rounds per question: one draw of n-1 fair bits per question."""
+    """Packed outcomes of `trials` rounds per question, one round at a time.
+
+    A round is one draw of n-1 fair bits, shifted up by one, plus the bit
+    that gives the question's target parity.
+    """
     outcomes = []
     for bits in questions:
         want = target_parity(Question(n, int(bits)))
-        free = rng.integers(0, 2, size=(trials, n - 1), dtype=np.uint64)
-        last = (free.sum(axis=1) + want) & 1
-        outcomes += ((free << np.arange(n - 1, 0, -1, dtype=np.uint64)).sum(axis=1) | last).tolist()
+        for _ in range(trials):
+            free = int(rng.integers(0, 1 << (n - 1), dtype=np.uint64))
+            outcomes.append(free << 1 | (free.bit_count() + want) & 1)
     return outcomes
 
 
@@ -257,9 +261,21 @@ def test_phase_gate_matches_index_oracle(n):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_question_state_matches_gate_by_gate_oracle(n):
+    work = quantum.DenseWork(n)
     for q in enumerate_legitimate(GameConfig(n)):
         want = gate_by_gate_oracle(q)
         np.testing.assert_allclose(question_state_dense(q), want, rtol=0, atol=1e-12)
+        # one workspace for every question, as a dense check uses it
+        np.testing.assert_allclose(question_state_dense(q, work), want, rtol=0, atol=1e-12)
+        assert dense_matches_analytic(q, work)
+
+
+def test_workspace_serves_one_n():
+    work = quantum.DenseWork(4)
+    with pytest.raises(ValueError):
+        dense_matches_analytic(Question.from_string("110"), work)
+    with pytest.raises(ValueError):
+        apply_hadamards_dense(ghz_state(GameConfig(5)), work)
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -310,7 +326,8 @@ def test_question_state_permutes_with_the_players(args):
 
 
 @pytest.mark.parametrize(
-    "n,trials,chunk", [(3, 7, 5), (5, 3, 9), (8, 4, 10), (12, 2, 64), (20, 1, 38)]
+    "n,trials,chunk",
+    [(3, 7, 5), (5, 3, 9), (8, 4, 10), (12, 2, 64), (20, 1, 38), (12, 2, 7), (20, 1, 3)],
 )
 def test_analytic_wins_draws_like_per_question_calls(monkeypatch, n, trials, chunk):
     # a chunk this small splits rounds, and questions, across draws
@@ -335,15 +352,16 @@ def test_analytic_wins_rejects_an_odd_question():
         analytic_wins(4, np.array([0b0000, 0b0100], dtype=np.uint64), 1, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("n,count,chunk", [(3, 11, 4), (24, 50, 100), (62, 9, 61)])
+@pytest.mark.parametrize(
+    "n,count,chunk", [(3, 11, 4), (24, 50, 100), (62, 9, 61), (24, 50, 7), (62, 9, 2)]
+)
 def test_sample_parity_class_draws_like_one_draw(monkeypatch, n, count, chunk):
     monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
     parity = np.random.default_rng(n).integers(0, 2, size=count, dtype=np.uint8)
     ours, oracle = np.random.default_rng(3), np.random.default_rng(3)
     got = quantum.sample_parity_class(n, parity, ours)
-    free = oracle.integers(0, 2, size=(count, n - 1), dtype=np.uint64)
-    packed = (free << np.arange(n - 1, 0, -1, dtype=np.uint64)).sum(axis=1)
-    want = packed | ((free.sum(axis=1) + parity) & 1)
+    free = oracle.integers(0, 1 << (n - 1), size=count, dtype=np.uint64)
+    want = free << np.uint64(1) | ((np.bitwise_count(free) + parity) & 1)
     np.testing.assert_array_equal(got, want)
     assert (np.bitwise_count(got) & 1).tolist() == parity.tolist()
     assert ours.random() == oracle.random()
