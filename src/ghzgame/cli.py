@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, classical, noise, quantum
-from .core import GameConfig, SettingError, legitimate_bits
+from .core import GameConfig, SettingError
 
 DEFAULT_SEED = 42
 
@@ -125,36 +125,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_bound(args) -> dict:
     n = _require_at_least(args.n, 3, "--n")
-    bound = classical.classical_bound(n)
-    record = {"n": n, "derivation": "closed-form", **_fraction_fields("bound", bound)}
-    return _report("bound", args, records=[record])
+    # 2^ceil(n/2) < 10^digits prints within the int-to-str limit (its default when it is off)
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    largest = 2 * ((10**digits).bit_length() - 1)
+    if n > largest:
+        raise UsageError(f"--n must be <= {largest}, whose bound has {digits} digits, got {n}")
+    return _report("bound", args, records=[_bound_record(n)])
 
 
 def cmd_search(args) -> dict:
     n = _require_at_least(args.n, 3, "--n")
     _require_within(n, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT")
-    bound = classical.classical_bound(n)
-    best, codes = classical.exhaustive_best(GameConfig(n))
-    table1 = classical.table1_strategy(GameConfig(n))
-    table1_prop = classical.success_proportion(table1)
+    record, codes, best_ok, table1_ok = _search_record(n)
     if args.witnesses:
         _write_witness_csv(args.witnesses, codes, n)
-    records = [
-        {
-            "n": n,
-            "derivation": "exhaustive",
-            "strategies_swept": 1 << (2 * n),
-            "witness_count": len(codes),
-            **_fraction_fields("best_proportion", best),
-            **_fraction_fields("table1_proportion", table1_prop),
-            "table1_pairs": ["".join(map(str, pair)) for pair in table1.outputs],
-        }
-    ]
     checks = [
-        _check("exhaustive_max_equals_formula", best == bound),
-        _check("table1_achieves_formula", table1_prop == bound),
+        _check("exhaustive_max_equals_formula", best_ok),
+        _check("table1_achieves_formula", table1_ok),
     ]
-    return _report("search", args, records=records, checks=checks)
+    return _report("search", args, records=[record], checks=checks)
 
 
 def cmd_quantum(args) -> dict:
@@ -162,39 +151,12 @@ def cmd_quantum(args) -> dict:
     if n > quantum.ANALYTIC_LIMIT:
         raise UsageError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
     trials = _require_at_least(args.trials, 1, "--trials")
-    rng = np.random.default_rng(args.seed)
-    if n <= 16:
-        questions, repeats, coverage = legitimate_bits(n), trials, "all-questions"
-    else:
-        questions = quantum.sample_parity_class(n, np.zeros(trials, dtype=np.uint8), rng)
-        repeats, coverage = 1, "sampled-questions"
-    wins = quantum.analytic_wins(n, questions, repeats, rng)
-    rounds = questions.size * repeats
-    records = [
-        {
-            "n": n,
-            "derivation": "monte-carlo",
-            "mode": "analytic",
-            "coverage": coverage,
-            "rounds": rounds,
-            "wins": wins,
-            "win_rate": wins / rounds,
-        }
-    ]
-    checks = [_check("quantum_win_rate_is_one", wins == rounds)]
     if args.dense_check:
         _require_within(n, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT")
-        ok, questions_checked = quantum.dense_check(n, rng)
-        records.append(
-            {
-                "n": n,
-                "derivation": "exhaustive",
-                "mode": "dense",
-                "questions_checked": questions_checked,
-                "consistent": ok,
-            }
-        )
-        checks.append(_check("dense_matches_analytic", ok))
+    rng = np.random.default_rng(args.seed)
+    records = _quantum_records(n, trials, rng, args.dense_check)
+    checks = [_check("quantum_win_rate_is_one", records[0]["wins"] == records[0]["rounds"])]
+    checks += [_check("dense_matches_analytic", dense["consistent"]) for dense in records[1:]]
     return _report("quantum", args, records=records, checks=checks)
 
 
@@ -211,20 +173,7 @@ def cmd_noise(args) -> dict:
         grid = noise.compare_report([n], p_grid=p_grid)
         _add_grid(records, checks, n, "bitflip_threshold", noise.bitflip_threshold(n), "p", grid)
         if trials:
-            for p in p_grid:
-                est = noise.bitflip_monte_carlo(n, noise.BitFlipModel(float(p)), trials, rng)
-                records.append(
-                    {
-                        "kind": "monte-carlo",
-                        "n": n,
-                        "p": float(p),
-                        "derivation": "monte-carlo",
-                        "trials": est.trials,
-                        "wins": est.wins,
-                        "estimate": est.estimate,
-                        "std_error": est.std_error,
-                    }
-                )
+            records.extend(_monte_carlo_record(n, p, trials, rng) for p in p_grid)
     if args.csv:
         _write_grid_csv(args.csv, [r for r in records if r.get("kind") == "bitflip"])
     return _report("noise", args, records=records, checks=checks)
@@ -239,26 +188,20 @@ def cmd_detect(args) -> dict:
     for n in n_values:
         grid = noise.compare_report([n], eta_grid=eta_grid)
         _add_grid(records, checks, n, "detection_threshold", noise.detection_threshold(n), "eta", grid)
-        best, codes = noise.errorfree_exhaustive(GameConfig(n))
-        records.append(
-            {
-                "kind": "errorfree",
-                "n": n,
-                "derivation": "exhaustive",
-                "tables_swept": 9**n,
-                "max_winnable": best,
-                "witness_count": len(codes),
-            }
-        )
-        checks.append(_check(f"errorfree_max_is_two_n{n}", best == 2))
+        record = _errorfree_record(n)
+        records.append(record)
+        checks.append(_check(f"errorfree_max_is_two_n{n}", record["max_winnable"] == 2))
     if args.csv:
         _write_grid_csv(args.csv, [r for r in records if r.get("kind") == "detection"])
     return _report("detect", args, records=records, checks=checks)
 
 
 def cmd_report(args) -> dict:
-    _require_at_least(args.quantum_trials, 1, "--quantum-trials")
-    _require_at_least(args.mc_trials, 1, "--mc-trials")
+    """Every headline number: the commands' own records, each cut to its section's fields.
+
+    Only the closed-form thresholds and the reference table are built here."""
+    trials = _require_at_least(args.quantum_trials, 1, "--quantum-trials")
+    mc_trials = _require_at_least(args.mc_trials, 1, "--mc-trials")
     for ns, limit, what, env in (
         (REPORT_SEARCH_N, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT"),
         (REPORT_QUANTUM_N, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT"),
@@ -271,44 +214,21 @@ def cmd_report(args) -> dict:
 
     # exact classical bounds, with exhaustive confirmation at desk scale
     for n in range(3, 8):
-        bound = classical.classical_bound(n)
-        records.append(
-            {"section": "bound", "n": n, "derivation": "closed-form", **_fraction_fields("bound", bound)}
-        )
+        records.append({"section": "bound", **_bound_record(n)})
     for n in REPORT_SEARCH_N:
-        bound = classical.classical_bound(n)
-        best, codes = classical.exhaustive_best(GameConfig(n))
-        table1_prop = classical.success_proportion(classical.table1_strategy(GameConfig(n)))
-        records.append(
-            {
-                "section": "search",
-                "n": n,
-                "derivation": "exhaustive",
-                "witness_count": len(codes),
-                **_fraction_fields("best_proportion", best),
-            }
-        )
-        checks.append(_check(f"search_matches_bound_n{n}", best == bound))
-        checks.append(_check(f"table1_matches_bound_n{n}", table1_prop == bound))
+        record, _codes, best_ok, table1_ok = _search_record(n)
+        fields = ("n", "derivation", "witness_count", "best_proportion", "best_proportion_decimal")
+        records.append(_section("search", record, fields))
+        checks.append(_check(f"search_matches_bound_n{n}", best_ok))
+        checks.append(_check(f"table1_matches_bound_n{n}", table1_ok))
 
     # perfect quantum play, analytic everywhere plus dense cross-check
     for n in REPORT_QUANTUM_N:
-        questions = legitimate_bits(n)
-        wins = quantum.analytic_wins(n, questions, args.quantum_trials, rng)
-        rounds = args.quantum_trials * questions.size
-        dense_ok, _ = quantum.dense_check(n, rng)
-        records.append(
-            {
-                "section": "quantum",
-                "n": n,
-                "derivation": "monte-carlo",
-                "rounds": rounds,
-                "wins": wins,
-                "dense_consistent": dense_ok,
-            }
-        )
-        checks.append(_check(f"quantum_perfect_n{n}", wins == rounds))
-        checks.append(_check(f"dense_matches_analytic_n{n}", dense_ok))
+        analytic, dense = _quantum_records(n, trials, rng, dense=True)
+        fields = ("n", "derivation", "rounds", "wins")
+        records.append(_section("quantum", analytic, fields, dense_consistent=dense["consistent"]))
+        checks.append(_check(f"quantum_perfect_n{n}", analytic["wins"] == analytic["rounds"]))
+        checks.append(_check(f"dense_matches_analytic_n{n}", dense["consistent"]))
 
     # bit-flip thresholds and the large-n limit
     e3 = noise.bitflip_threshold(3)
@@ -328,22 +248,12 @@ def cmd_report(args) -> dict:
     checks.append(_check("bitflip_threshold_n5", abs(e5 - 0.879) <= 0.001))
     checks.append(_check("bitflip_threshold_limit", abs(e_limit - 0.85355) <= 0.0005))
 
-    est = noise.bitflip_monte_carlo(3, noise.BitFlipModel(0.9), args.mc_trials, rng)
+    est = _monte_carlo_record(3, 0.9, mc_trials, rng)
     expected = noise.bitflip_win_prob(3, noise.BitFlipModel(0.9))
-    records.append(
-        {
-            "section": "bitflip",
-            "derivation": "monte-carlo",
-            "n": 3,
-            "p": 0.9,
-            "trials": est.trials,
-            "estimate": est.estimate,
-            "std_error": est.std_error,
-            "closed_form": expected,
-        }
-    )
+    fields = ("derivation", "n", "p", "trials", "estimate", "std_error")
+    records.append(_section("bitflip", est, fields, closed_form=expected))
     checks.append(
-        _check("bitflip_monte_carlo_n3", abs(est.estimate - expected) <= 4 * est.std_error)
+        _check("bitflip_monte_carlo_n3", abs(est["estimate"] - expected) <= 4 * est["std_error"])
     )
 
     # detection thresholds, the no-output sweep, and the reference table
@@ -359,14 +269,10 @@ def cmd_report(args) -> dict:
     )
     checks.append(_check("detection_threshold_n3", abs(d3 - 0.7937) <= 0.0001))
     for n in REPORT_ERRORFREE_N:
-        best, _codes = noise.errorfree_exhaustive(GameConfig(n))
+        errorfree = _errorfree_record(n)
+        best = errorfree["max_winnable"]
         records.append(
-            {
-                "section": "detection",
-                "derivation": "exhaustive",
-                "n": n,
-                "errorfree_max_winnable": best,
-            }
+            _section("detection", errorfree, ("derivation", "n"), errorfree_max_winnable=best)
         )
         checks.append(_check(f"errorfree_max_is_two_n{n}", best == 2))
     ref_ok = all(_reference_wins_expected(n) for n in range(3, 9))
@@ -376,6 +282,92 @@ def cmd_report(args) -> dict:
     checks.append(_check("reference_strategy_wins_expected", ref_ok))
 
     return _report("report", args, records=records, checks=checks)
+
+
+# ---------------------------------------------------------------- records
+
+
+def _bound_record(n: int) -> dict:
+    bound = classical.classical_bound(n)
+    return {"n": n, "derivation": "closed-form", **_fraction_fields("bound", bound)}
+
+
+def _search_record(n: int) -> tuple[dict, np.ndarray, bool, bool]:
+    """The sweep's record, its maximizer codes, and whether the maximum and
+    the simple optimal table each reach the closed-form bound."""
+    bound = classical.classical_bound(n)
+    best, codes = classical.exhaustive_best(GameConfig(n))
+    table1 = classical.table1_strategy(GameConfig(n))
+    table1_prop = classical.success_proportion(table1)
+    record = {
+        "n": n,
+        "derivation": "exhaustive",
+        "strategies_swept": 1 << (2 * n),
+        "witness_count": len(codes),
+        **_fraction_fields("best_proportion", best),
+        **_fraction_fields("table1_proportion", table1_prop),
+        "table1_pairs": ["".join(map(str, pair)) for pair in table1.outputs],
+    }
+    return record, codes, best == bound, table1_prop == bound
+
+
+def _quantum_records(n: int, trials: int, rng: np.random.Generator, dense: bool) -> list[dict]:
+    """The analytic record, then the dense check's record if `dense`."""
+    coverage, rounds, wins = quantum.analytic_check(n, trials, rng)
+    records = [
+        {
+            "n": n,
+            "derivation": "monte-carlo",
+            "mode": "analytic",
+            "coverage": coverage,
+            "rounds": rounds,
+            "wins": wins,
+            "win_rate": wins / rounds,
+        }
+    ]
+    if dense:
+        ok, questions_checked = quantum.dense_check(n, rng)
+        records.append(
+            {
+                "n": n,
+                "derivation": "exhaustive",
+                "mode": "dense",
+                "questions_checked": questions_checked,
+                "consistent": ok,
+            }
+        )
+    return records
+
+
+def _monte_carlo_record(n: int, p, trials: int, rng: np.random.Generator) -> dict:
+    est = noise.bitflip_monte_carlo(n, noise.BitFlipModel(float(p)), trials, rng)
+    return {
+        "kind": "monte-carlo",
+        "n": n,
+        "p": float(p),
+        "derivation": "monte-carlo",
+        "trials": est.trials,
+        "wins": est.wins,
+        "estimate": est.estimate,
+        "std_error": est.std_error,
+    }
+
+
+def _errorfree_record(n: int) -> dict:
+    best, codes = noise.errorfree_exhaustive(GameConfig(n))
+    return {
+        "kind": "errorfree",
+        "n": n,
+        "derivation": "exhaustive",
+        "tables_swept": 9**n,
+        "max_winnable": best,
+        "witness_count": len(codes),
+    }
+
+
+def _section(name: str, record: dict, fields: tuple[str, ...], **extra) -> dict:
+    """A `report` record: its section, `fields` of a command's record in order, then `extra`."""
+    return {"section": name, **{k: record[k] for k in fields}, **extra}
 
 
 # ---------------------------------------------------------------- helpers

@@ -37,6 +37,8 @@ DEFAULT_DENSE_LIMIT = 20
 ANALYTIC_LIMIT = 62
 #: analytic rounds are drawn and checked at most this many at a time
 ANALYTIC_CHUNK = 1 << 18
+#: the analytic check plays every question up to this n, and samples beyond it
+ANALYTIC_ALL_QUESTIONS = 16
 #: the dense check covers every question up to this n, and samples beyond it
 DENSE_ALL_QUESTIONS = 12
 #: questions the dense check samples beyond DENSE_ALL_QUESTIONS
@@ -159,16 +161,13 @@ def sample_parity_class(n: int, parity: np.ndarray, rng: np.random.Generator) ->
     """One uniformly random packed n-bit string per entry of `parity`, of that bit parity.
 
     Each string is one draw of n-1 fair bits, most significant first,
-    shifted up by one, plus a last bit that fixes the parity.  Strings are
-    drawn ANALYTIC_CHUNK at a time; where the chunks split does not change
-    the draws.
+    shifted up by one, plus a last bit that fixes the parity.  All strings
+    come from one draw, so the chunked callers pass at most ANALYTIC_CHUNK
+    entries; how a run of strings is split into calls does not change them.
     """
-    out = np.empty(len(parity), dtype=np.uint64)
-    for start in range(0, out.size, ANALYTIC_CHUNK):
-        want = parity[start : start + ANALYTIC_CHUNK]
-        free = rng.integers(0, 1 << (n - 1), size=want.size, dtype=np.uint64)
-        free <<= 1
-        np.bitwise_or(free, (np.bitwise_count(free) + want) & 1, out=out[start : start + want.size])
+    out = rng.integers(0, 1 << (n - 1), size=len(parity), dtype=np.uint64)
+    out <<= 1
+    out |= (np.bitwise_count(out) + parity) & 1
     return out
 
 
@@ -194,6 +193,26 @@ def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Gen
         outcomes = sample_parity_class(n, want, rng)
         wins += int(np.count_nonzero((np.bitwise_count(outcomes) & 1) == want))
     return wins
+
+
+def analytic_check(n: int, trials: int, rng: np.random.Generator) -> tuple[str, int, int]:
+    """Play the perfect strategy analytically; returns (coverage, rounds, wins).
+
+    Up to ANALYTIC_ALL_QUESTIONS players every legitimate question is played
+    `trials` times ("all-questions").  Beyond, `trials` questions are drawn
+    from the even parity class and each is played once ("sampled-questions"),
+    drawn and played ANALYTIC_CHUNK at a time, so memory stays flat.
+    """
+    if n <= ANALYTIC_ALL_QUESTIONS:
+        questions = legitimate_bits(n)
+        return "all-questions", questions.size * trials, analytic_wins(n, questions, trials, rng)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    wins = 0
+    for start in range(0, trials, ANALYTIC_CHUNK):
+        even = np.zeros(min(ANALYTIC_CHUNK, trials - start), dtype=np.uint8)
+        wins += analytic_wins(n, sample_parity_class(n, even, rng), 1, rng)
+    return "sampled-questions", trials, wins
 
 
 def sample_answers(

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,29 @@ def test_seeded_report_digest_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Text output prints each record's keys in insertion order, which the sorted
+# JSON pins above cannot see.
+PINNED_TEXT_REPORTS = [
+    pytest.param(
+        ["report", "--quantum-trials", "5", "--mc-trials", "1000"],
+        "00149f45da3ec3e49096536fcbbce21825fc6857a416f95aed97ecc995ca474a",
+        id="report",
+    ),
+    pytest.param(
+        ["quantum", "--n", "13", "--trials", "3", "--dense-check", "--seed", "5"],
+        "7eb261461cb8d38e73fc974cbceee5fdc67f76580979b76c5ca95aa9294825e6",
+        id="quantum",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_TEXT_REPORTS)
+def test_seeded_text_report_digest_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_grid_steps_are_exact_decimals(capsys):
     # 1e-3 has no decimal point, yet the grid is 0.500, 0.501, ..., 0.510
     code, report = run_json(capsys, "noise", "--n", "3", "--p", "0.5:0.51:1e-3")
@@ -337,11 +361,20 @@ def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
         ["noise", "--n", "3", "--p", "0.9", "--trials", "-5"],
         ["noise", "--n", "63", "--p", "0.9", "--trials", "10"],
         ["noise", "--n", "3", "--p", "inf"],
+        ["bound", "--n", "28569"],  # 2^14285 has 4301 digits
+        ["bound", "--n", "1000000000000"],
     ],
 )
 def test_bad_counts_and_values_end_in_one_line(capsys, argv):
     assert main(argv) == 1
     assert one_error_line(capsys)
+
+
+def test_bound_prints_up_to_the_digit_limit(capsys):
+    code, report = run_json(capsys, "bound", "--n", "28568")
+    assert code == 0
+    _, denominator = report["records"][0]["bound"].split("/")
+    assert len(denominator) == sys.get_int_max_str_digits() == 4300
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzgame import quantum
-from ghzgame.core import GameConfig, Question, enumerate_legitimate, is_appropriate, target_parity
+from ghzgame.core import (
+    GameConfig,
+    Question,
+    enumerate_legitimate,
+    is_appropriate,
+    legitimate_bits,
+    target_parity,
+)
 from ghzgame.quantum import (
+    analytic_check,
     analytic_wins,
     apply_hadamards_dense,
     apply_inputs_analytic,
@@ -345,6 +353,33 @@ def test_analytic_wins_draws_like_per_question_calls(monkeypatch, n, trials, chu
     answers = [sample_answers(Question(n, q), trials, per_question) for q in questions.tolist()]
     assert [a.bits for round_answers in answers for a in round_answers] == outcomes
     assert ours.random() == oracle.random() == per_question.random()
+
+
+@pytest.mark.parametrize("n,trials", [(3, 7), (8, 3), (16, 1)])
+def test_analytic_check_plays_every_question_up_to_the_cutoff(n, trials):
+    ours, oracle = np.random.default_rng(n), np.random.default_rng(n)
+    wins = analytic_wins(n, legitimate_bits(n), trials, oracle)
+    assert analytic_check(n, trials, ours) == ("all-questions", trials << (n - 1), wins)
+    assert ours.random() == oracle.random()
+
+
+def test_analytic_check_samples_questions_a_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", 7)
+    sizes = []
+    sample = quantum.sample_parity_class
+
+    def spy(n, parity, rng):
+        sizes.append(len(parity))
+        return sample(n, parity, rng)
+
+    monkeypatch.setattr(quantum, "sample_parity_class", spy)
+    ours, oracle = np.random.default_rng(20), np.random.default_rng(20)
+    assert analytic_check(20, 50, ours) == ("sampled-questions", 50, 50)
+    # each chunk of at most 7 draws its questions, then their outcomes
+    assert sizes == [7, 7] * 7 + [1, 1]
+    for size in sizes:
+        oracle.integers(0, 1 << 19, size=size, dtype=np.uint64)
+    assert ours.random() == oracle.random()
 
 
 def test_analytic_wins_rejects_an_odd_question():
