@@ -19,20 +19,17 @@ from .core import (
     Answer,
     GameConfig,
     Question,
+    SizeLimit,
     answer_bits,
     appropriate,
-    env_limit,
     legitimate_bits,
     output_masks,
 )
 
-DEFAULT_EXHAUSTIVE_LIMIT = 8
+#: the 4^n strategy sweep runs up to this n
+EXHAUSTIVE_LIMIT = SizeLimit("exhaustive", "GAME_EXHAUSTIVE_LIMIT", 8)
 #: beyond this the full set of optimal strategies is not materialized
 OPTIMAL_SET_LIMIT = 6
-
-
-def exhaustive_limit() -> int:
-    return env_limit("GAME_EXHAUSTIVE_LIMIT", DEFAULT_EXHAUSTIVE_LIMIT)
 
 
 def classical_bound(n: int) -> Fraction:
@@ -130,8 +127,7 @@ def exhaustive_best(cfg: GameConfig) -> tuple[Fraction, np.ndarray]:
     `DeterministicStrategy.from_code` unpacks one.
     """
     n = cfg.n
-    if n > exhaustive_limit():
-        raise ValueError(f"n={n} exceeds the exhaustive-search limit {exhaustive_limit()}")
+    EXHAUSTIVE_LIMIT.require(n)
     wins = win_count_table(n)
     best = int(wins.max())
     return Fraction(best, 1 << (n - 1)), np.flatnonzero(wins == best)

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager, suppress
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, classical, noise, quantum
-from .core import GameConfig, SettingError
+from .core import GameConfig, UsageError
 
 DEFAULT_SEED = 42
 
@@ -63,17 +64,13 @@ def main(argv: list[str] | None = None) -> int:
         report = args.handler(args)
         elapsed = time.perf_counter() - started
         _emit(report, args)
-    except (UsageError, SettingError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"[{report['command']}] completed in {elapsed:.2f}s", file=sys.stderr)
     if any(not c["ok"] for c in report.get("checks", [])):
         return CHECK_FAILED
     return 0
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +132,6 @@ def cmd_bound(args) -> dict:
 
 def cmd_search(args) -> dict:
     n = _require_at_least(args.n, 3, "--n")
-    _require_within(n, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT")
     record, codes, best_ok, table1_ok = _search_record(n)
     if args.witnesses:
         _write_witness_csv(args.witnesses, codes, n)
@@ -152,8 +148,8 @@ def cmd_quantum(args) -> dict:
         raise UsageError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
     trials = _require_at_least(args.trials, 1, "--trials")
     if args.dense_check:
-        _require_within(n, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT")
-    rng = np.random.default_rng(args.seed)
+        quantum.DENSE_LIMIT.require(n)
+    rng = _rng(args)
     records = _quantum_records(n, trials, rng, args.dense_check)
     checks = [_check("quantum_win_rate_is_one", records[0]["wins"] == records[0]["rounds"])]
     checks += [_check("dense_matches_analytic", dense["consistent"]) for dense in records[1:]]
@@ -166,7 +162,7 @@ def cmd_noise(args) -> dict:
     trials = _require_at_least(args.trials, 0, "--trials")
     if trials and p_grid and n_values[-1] > quantum.ANALYTIC_LIMIT:
         raise UsageError(f"n={n_values[-1]} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args)
     records = []
     checks = []
     for n in n_values:
@@ -182,7 +178,7 @@ def cmd_noise(args) -> dict:
 def cmd_detect(args) -> dict:
     n_values = _parse_range(args.n)
     eta_grid = _parse_grid(args.eta, len(n_values), "efficiency eta", 0) if args.eta else []
-    _require_within(n_values[-1], noise.extended_limit(), "no-output sweep", "GAME_EXTENDED_LIMIT")
+    noise.EXTENDED_LIMIT.require(n_values[-1])
     records = []
     checks = []
     for n in n_values:
@@ -202,13 +198,10 @@ def cmd_report(args) -> dict:
     Only the closed-form thresholds and the reference table are built here."""
     trials = _require_at_least(args.quantum_trials, 1, "--quantum-trials")
     mc_trials = _require_at_least(args.mc_trials, 1, "--mc-trials")
-    for ns, limit, what, env in (
-        (REPORT_SEARCH_N, classical.exhaustive_limit(), "exhaustive", "GAME_EXHAUSTIVE_LIMIT"),
-        (REPORT_QUANTUM_N, quantum.dense_limit(), "dense", "GAME_DENSE_LIMIT"),
-        (REPORT_ERRORFREE_N, noise.extended_limit(), "no-output sweep", "GAME_EXTENDED_LIMIT"),
-    ):
-        _require_within(max(ns), limit, what, env)
-    rng = np.random.default_rng(args.seed)
+    classical.EXHAUSTIVE_LIMIT.require(max(REPORT_SEARCH_N))
+    quantum.DENSE_LIMIT.require(max(REPORT_QUANTUM_N))
+    noise.EXTENDED_LIMIT.require(max(REPORT_ERRORFREE_N))
+    rng = _rng(args)
     records = []
     checks = []
 
@@ -415,12 +408,8 @@ def _require_at_least(value: int, least: int, flag: str) -> int:
     return value
 
 
-def _require_within(n: int, limit: int, what: str, env: str) -> None:
-    if n > limit:
-        raise UsageError(
-            f"n={n} exceeds the {what} limit {limit} "
-            f"(set {env} to raise it); refusing to sample silently"
-        )
+def _rng(args) -> np.random.Generator:
+    return np.random.default_rng(_require_at_least(args.seed, 0, "--seed"))
 
 
 def _parse_range(text: str) -> range:
@@ -526,11 +515,8 @@ def _emit(report: dict, args) -> None:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_text(report)
-    if args.out:
-        with _open_for_writing(args.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_for_writing(args.out) as fh:
+        fh.write(text)
 
 
 def _render_text(report: dict) -> str:
@@ -572,11 +558,26 @@ def _pairs_table(players: int) -> tuple[str, ...]:
     return tuple(" ".join(p) for p in pairs)
 
 
-def _open_for_writing(path: str):
+@contextmanager
+def _open_for_writing(path: str | None):
+    """The file at `path` opened for writing, or stdout without a path, flushed
+    or closed on leaving; a failure to open, write or flush it is a UsageError."""
     try:
-        return open(path, "w", newline="")
+        if path:
+            with open(path, "w", newline="") as fh:
+                yield fh
+        else:
+            try:
+                yield sys.stdout
+                sys.stdout.flush()
+            except OSError:
+                # the text stays buffered: closing stdout drops it, or the
+                # interpreter's flush at exit fails again and exits 120
+                with suppress(OSError):
+                    sys.stdout.close()
+                raise
     except OSError as exc:
-        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {path or '<stdout>'!r}: {exc.strerror}") from None
 
 
 def _write_grid_csv(path: str, records: list[dict]) -> None:

@@ -188,16 +188,33 @@ def appropriate(q, answers):
     return np.bitwise_count(answers) & 1 == np.bitwise_count(q) >> 1 & 1
 
 
-class SettingError(ValueError):
-    """An environment setting that cannot be used as given."""
+class UsageError(ValueError):
+    """A request the workbench refuses as given; the CLI prints it as one line and exits 1."""
 
 
-def env_limit(name: str, default: int) -> int:
-    """An integer size limit read from the environment variable `name`."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SettingError(f"{name} must be an integer, got {raw!r}") from None
+@dataclass(frozen=True)
+class SizeLimit:
+    """The largest player count a sweep accepts, overridable by the environment variable `env`."""
+
+    what: str
+    env: str
+    default: int
+
+    def value(self) -> int:
+        """The limit in force: read from `env` on every call, `default` when it is unset."""
+        raw = os.environ.get(self.env)
+        if raw is None:
+            return self.default
+        try:
+            return int(raw)
+        except ValueError:
+            raise UsageError(f"{self.env} must be an integer, got {raw!r}") from None
+
+    def require(self, n: int) -> None:
+        """Refuse n beyond the limit before any work is done for it."""
+        limit = self.value()
+        if n > limit:
+            raise UsageError(
+                f"n={n} exceeds the {self.what} limit {limit} "
+                f"(set {self.env} to raise it); refusing to sample silently"
+            )

@@ -23,22 +23,19 @@ from .core import (
     Answer,
     GameConfig,
     Question,
+    SizeLimit,
     answer_bits,
     appropriate,
-    env_limit,
     legitimate_bits,
     output_masks,
 )
 
-DEFAULT_EXTENDED_LIMIT = 5
+#: the 9^n no-output table sweep runs up to this n
+EXTENDED_LIMIT = SizeLimit("no-output sweep", "GAME_EXTENDED_LIMIT", 5)
 #: a batch of geometric gaps covers the expected flips plus this many standard deviations
 GAP_SLACK = 5
 #: an extended output pair (a, b) has code 3*index(a) + index(b) in this tuple
 EXTENDED_OUTPUTS = (0, 1, None)
-
-
-def extended_limit() -> int:
-    return env_limit("GAME_EXTENDED_LIMIT", DEFAULT_EXTENDED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -239,8 +236,7 @@ def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, np.ndarray]:
     ascending (see `ExtendedStrategy.from_code`).
     """
     n = cfg.n
-    if n > extended_limit():
-        raise ValueError(f"n={n} exceeds the extended-sweep limit {extended_limit()}")
+    EXTENDED_LIMIT.require(n)
     sign = np.array([1, -1, 0], dtype=np.int16)  # of each entry of EXTENDED_OUTPUTS
     s0, s1 = np.repeat(sign, 3), np.tile(sign, 3)  # per pair code
     a0, a1 = abs(s0), abs(s1)

@@ -23,7 +23,8 @@ from .core import (
     Answer,
     GameConfig,
     Question,
-    env_limit,
+    SizeLimit,
+    UsageError,
     is_legitimate,
     legitimate_bits,
     target_parity,
@@ -31,8 +32,8 @@ from .core import (
 
 NORM_TOL = 1e-12
 
-#: amplitudes above this cutoff use a full 2^n vector; overridable via env
-DEFAULT_DENSE_LIMIT = 20
+#: the dense oracle builds 2^n-entry vectors up to this n
+DENSE_LIMIT = SizeLimit("dense", "GAME_DENSE_LIMIT", 20)
 #: the analytic path only needs n to fit comfortably in a machine word
 ANALYTIC_LIMIT = 62
 #: analytic rounds are drawn and checked at most this many at a time
@@ -55,10 +56,6 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def dense_limit() -> int:
-    return env_limit("GAME_DENSE_LIMIT", DEFAULT_DENSE_LIMIT)
-
-
 class DenseWork:
     """Every buffer of 2^n entries that one dense question needs.
 
@@ -69,7 +66,7 @@ class DenseWork:
     """
 
     def __init__(self, n: int):
-        _require_dense(n)
+        DENSE_LIMIT.require(n)
         size = 1 << n
         self.n = n
         self.state = np.empty(size, dtype=np.complex128)
@@ -82,7 +79,7 @@ class DenseWork:
 
 def ghz_state(cfg: GameConfig, sign: int = +1) -> np.ndarray:
     """Dense statevector (1/sqrt2)(|0^n> + sign|1^n>)."""
-    _require_dense(cfg.n)
+    DENSE_LIMIT.require(cfg.n)
     return _fill_ghz(np.empty(1 << cfg.n, dtype=np.complex128), sign)
 
 
@@ -187,6 +184,9 @@ def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Gen
         raise ValueError("a question violates the promise (odd weight)")
     parity = (weights >> 1) & 1
     rounds = parity.size * trials
+    most = np.iinfo(np.int64).max  # rounds are numbered in int64
+    if rounds > most:
+        raise UsageError(f"{parity.size} questions times {trials} trials is more than {most} rounds")
     wins = 0
     for start in range(0, rounds, ANALYTIC_CHUNK):
         want = parity[np.arange(start, min(start + ANALYTIC_CHUNK, rounds)) // trials]
@@ -275,11 +275,6 @@ def dense_check(n: int, rng: np.random.Generator) -> tuple[bool, int]:
     work = DenseWork(n)
     ok = all(dense_matches_analytic(Question(n, q), work) for q in questions.tolist())
     return ok, questions.size
-
-
-def _require_dense(n: int) -> None:
-    if n > dense_limit():
-        raise ValueError(f"n={n} exceeds the dense-vector limit {dense_limit()}")
 
 
 def _workspace(n: int, work: DenseWork | None) -> DenseWork:

@@ -21,7 +21,7 @@ from ghzgame.classical import (
     table1_strategy,
     win_count_table,
 )
-from ghzgame.core import GameConfig, Question, legitimate_bits
+from ghzgame.core import GameConfig, Question, UsageError, legitimate_bits
 
 
 def oracle_wins(outputs):
@@ -201,8 +201,12 @@ def test_exhaustive_best(n, expect):
 
 def test_exhaustive_best_rejects_large_n(monkeypatch):
     monkeypatch.setenv("GAME_EXHAUSTIVE_LIMIT", "4")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError) as refused:
         exhaustive_best(GameConfig(5))
+    assert str(refused.value) == (
+        "n=5 exceeds the exhaustive limit 4 "
+        "(set GAME_EXHAUSTIVE_LIMIT to raise it); refusing to sample silently"
+    )
 
 
 def test_win_count_table_matches_oracle():

@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ghzgame
 from ghzgame import classical
 from ghzgame.classical import DeterministicStrategy
 from ghzgame.core import GameConfig
@@ -57,6 +61,12 @@ def test_search_refuses_beyond_limit(capsys, monkeypatch):
     monkeypatch.setenv("GAME_EXHAUSTIVE_LIMIT", "4")
     code = main(["search", "--n", "6"])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n=6 exceeds the exhaustive limit 4 "
+        "(set GAME_EXHAUSTIVE_LIMIT to raise it); refusing to sample silently\n"
+    )
 
 
 def test_search_witness_csv(capsys, tmp_path):
@@ -363,11 +373,45 @@ def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
         ["noise", "--n", "3", "--p", "inf"],
         ["bound", "--n", "28569"],  # 2^14285 has 4301 digits
         ["bound", "--n", "1000000000000"],
+        ["quantum", "--n", "3", "--trials", "1", "--seed", "-1"],
+        ["noise", "--n", "3", "--p", "0.9", "--trials", "1", "--seed", "-1"],
+        ["report", "--seed", "-1"],
+        ["quantum", "--n", "3", "--trials", "100000000000000000000"],  # 4 * 10^20 rounds
+        ["report", "--quantum-trials", "100000000000000000000"],
     ],
 )
 def test_bad_counts_and_values_end_in_one_line(capsys, argv):
     assert main(argv) == 1
     assert one_error_line(capsys)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        (["search", "--n", "3", "--witnesses", "/dev/full"], None),
+        (["bound", "--n", "3", "--out", "/dev/full"], None),
+        (["detect", "--n", "3", "--eta", "0.5:0.6:0.1", "--csv", "/dev/full"], None),
+        (["bound", "--n", "3"], "/dev/full"),
+    ],
+)
+def test_a_failed_write_ends_in_one_line(argv, stdout):
+    # a separate process, so that its own stdout can be the full device; block
+    # buffered, as stdout to a file is by default, so only the flush can fail
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzgame.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(stdout or os.devnull, "w") as out:
+        done = subprocess.run(
+            [sys.executable, "-m", "ghzgame.cli", *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert done.returncode == 1
+    target = "<stdout>" if stdout else "/dev/full"
+    assert done.stderr == f"error: cannot write {target!r}: No space left on device\n"
 
 
 def test_bound_prints_up_to_the_digit_limit(capsys):

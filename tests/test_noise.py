@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ghzgame import cli, noise, quantum
 from ghzgame.classical import classical_bound
-from ghzgame.core import GameConfig, Question, legitimate_bits
+from ghzgame.core import GameConfig, Question, UsageError, legitimate_bits
 from ghzgame.noise import (
     GAP_SLACK,
     BitFlipModel,
@@ -376,8 +376,12 @@ def test_extended_code_order_follows_pairs():
 
 def test_errorfree_rejects_large_n(monkeypatch):
     monkeypatch.setenv("GAME_EXTENDED_LIMIT", "3")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError) as refused:
         errorfree_exhaustive(GameConfig(4))
+    assert str(refused.value) == (
+        "n=4 exceeds the no-output sweep limit 3 "
+        "(set GAME_EXTENDED_LIMIT to raise it); refusing to sample silently"
+    )
 
 
 def test_reference_strategy_structure():

@@ -9,6 +9,7 @@ from ghzgame import quantum
 from ghzgame.core import (
     GameConfig,
     Question,
+    UsageError,
     enumerate_legitimate,
     is_appropriate,
     legitimate_bits,
@@ -284,6 +285,17 @@ def test_workspace_serves_one_n():
         dense_matches_analytic(Question.from_string("110"), work)
     with pytest.raises(ValueError):
         apply_hadamards_dense(ghz_state(GameConfig(5)), work)
+
+
+def test_dense_work_rejects_large_n(monkeypatch):
+    monkeypatch.setenv("GAME_DENSE_LIMIT", "6")
+    quantum.DenseWork(6)
+    with pytest.raises(UsageError) as refused:
+        quantum.DenseWork(7)
+    assert str(refused.value) == (
+        "n=7 exceeds the dense limit 6 "
+        "(set GAME_DENSE_LIMIT to raise it); refusing to sample silently"
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 14))

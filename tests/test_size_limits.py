@@ -1,0 +1,37 @@
+"""Each sweep's size limit has one owner: its variable is named once, and only `core` reads it.
+
+The sources are read as text and parsed with `ast`, never imported, so a
+second copy of a limit's policy shows up here rather than as two refusals
+that drift apart.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ghzgame"
+LIMIT_VARIABLES = {"GAME_EXHAUSTIVE_LIMIT", "GAME_DENSE_LIMIT", "GAME_EXTENDED_LIMIT"}
+
+
+def sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_each_limit_variable_is_named_once():
+    named = [m for text in sources().values() for m in re.findall(r"GAME_\w+_LIMIT", text)]
+    assert sorted(named) == sorted(LIMIT_VARIABLES)
+
+
+def test_only_core_reads_the_environment():
+    readers = set()
+    for name, text in sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+            else:
+                continue
+            if used & {"environ", "getenv"}:
+                readers.add(name)
+    assert readers == {"core.py"}
