@@ -28,8 +28,6 @@ from .core import (
 
 #: the 4^n strategy sweep runs up to this n
 EXHAUSTIVE_LIMIT = SizeLimit("exhaustive", "GAME_EXHAUSTIVE_LIMIT", 8)
-#: beyond this the full set of optimal strategies is not materialized
-OPTIMAL_SET_LIMIT = 6
 
 
 def classical_bound(n: int) -> Fraction:
@@ -154,13 +152,12 @@ def table1_strategy(cfg: GameConfig) -> DeterministicStrategy:
 
 
 def optimal_set(cfg: GameConfig) -> list[DeterministicStrategy]:
-    """All strategies reaching the classical bound exactly, in code order."""
-    n = cfg.n
-    if n > OPTIMAL_SET_LIMIT:
-        raise ValueError(f"optimal_set is materialized only for n <= {OPTIMAL_SET_LIMIT}")
-    wins = win_count_table(n)
-    best = (1 << (n - 2)) + (1 << (n // 2 - 1))  # wins at proportion 1/2 + 2^-ceil(n/2)
-    return [DeterministicStrategy.from_code(n, int(c)) for c in np.nonzero(wins == best)[0]]
+    """All strategies reaching the classical bound exactly, in code order: the sweep's maximizers.
+
+    Refused, like `exhaustive_best`, beyond EXHAUSTIVE_LIMIT.
+    """
+    _best, codes = exhaustive_best(cfg)
+    return [DeterministicStrategy.from_code(cfg.n, c) for c in codes.tolist()]
 
 
 def is_balanced(strategies: list[DeterministicStrategy], cfg: GameConfig) -> bool:

@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv, parser)
+        args = _apply_config_file(args, argv, parser)
         started = time.perf_counter()
         report = args.handler(args)
         elapsed = time.perf_counter() - started
@@ -144,8 +144,7 @@ def cmd_search(args) -> dict:
 
 def cmd_quantum(args) -> dict:
     n = _require_at_least(args.n, 3, "--n")
-    if n > quantum.ANALYTIC_LIMIT:
-        raise UsageError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
+    quantum.require_analytic(n)
     trials = _require_at_least(args.trials, 1, "--trials")
     if args.dense_check:
         quantum.DENSE_LIMIT.require(n)
@@ -160,8 +159,8 @@ def cmd_noise(args) -> dict:
     n_values = _parse_range(args.n)
     p_grid = _parse_grid(args.p, len(n_values), "reliability p", Fraction(1, 2)) if args.p else []
     trials = _require_at_least(args.trials, 0, "--trials")
-    if trials and p_grid and n_values[-1] > quantum.ANALYTIC_LIMIT:
-        raise UsageError(f"n={n_values[-1]} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
+    if trials and p_grid:
+        quantum.require_analytic(n_values[-1])
     rng = _rng(args)
     records = []
     checks = []
@@ -485,18 +484,25 @@ def _report(command: str, args, records: list[dict], checks: list[dict] | None =
     }
 
 
-def _apply_config_file(args, argv: list[str], parser: argparse.ArgumentParser) -> None:
+def _apply_config_file(args, argv: list[str], parser: argparse.ArgumentParser):
+    """`args` with the values of its `--config` file as the command's defaults.
+
+    argv is parsed again over those defaults, so a flag given on the command
+    line wins in any spelling argparse accepts (`--n=5`, `--tri 7`).
+    """
     if not getattr(args, "config", None):
-        return
+        return args
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or bad UTF-8; RecursionError: arrays nested too deep
         raise UsageError(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {args.config!r} must hold a JSON object")
     command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in command.choices[args.command]._actions if a.dest != "help"}
+    subparser = command.choices[args.command]
+    flags = {a.dest: a for a in subparser._actions if a.dest != "help"}
     for key, value in overrides.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
@@ -505,9 +511,8 @@ def _apply_config_file(args, argv: list[str], parser: argparse.ArgumentParser) -
         want = bool if action.nargs == 0 else action.type or str
         if type(value) is not want or (action.choices and value not in action.choices):
             raise UsageError(f"config key {key!r} needs a JSON {want.__name__}, got {value!r}")
-        # explicit command-line flags win over the config file
-        if not any(opt in argv for opt in action.option_strings):
-            setattr(args, action.dest, value)
+        subparser.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
 
 
 def _emit(report: dict, args) -> None:

@@ -113,23 +113,13 @@ def bitflip_monte_carlo(
 ) -> MonteCarloEstimate:
     """Sample noisy rounds: uniform legitimate question, perfect round, then flips.
 
-    Rounds are drawn a chunk of ANALYTIC_CHUNK // n at a time: the chunk's
-    questions, uniform in the even parity class, then the perfect round's
-    answers, uniform in the class each question demands (both packed uint64
-    from `quantum.sample_parity_class`), then the flips of `_flip_masks`.
-    Each noisy round is then checked with `core.appropriate`.
+    The perfect rounds come a chunk at a time from `quantum.sampled_rounds`;
+    each chunk's answers are xored with the flips of `_flip_masks`, drawn
+    right after it, and each noisy round is checked with `core.appropriate`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n > quantum.ANALYTIC_LIMIT:
-        raise ValueError(f"n={n} exceeds the analytic limit {quantum.ANALYTIC_LIMIT}")
-    step = max(1, quantum.ANALYTIC_CHUNK // n)
     wins = 0
-    for start in range(0, trials, step):
-        rows = min(step, trials - start)
-        questions = quantum.sample_parity_class(n, np.zeros(rows, dtype=np.uint8), rng)
-        answers = quantum.sample_parity_class(n, np.bitwise_count(questions) >> 1 & 1, rng)
-        answers ^= _flip_masks(n, rows, model, rng)
+    for questions, answers in quantum.sampled_rounds(n, trials, rng):
+        answers ^= _flip_masks(n, answers.size, model, rng)
         wins += int(np.count_nonzero(appropriate(questions, answers)))
     return MonteCarloEstimate(wins, trials)
 

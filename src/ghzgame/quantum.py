@@ -3,10 +3,11 @@
 The analytic path tracks only which of the two GHZ phase states the players
 hold after their conditional phase gates; it is pure parity logic with no
 floating point, so it scales to word-sized n.  Its rounds are packed uint64
-outcomes, one random word each, drawn and checked a chunk at a time.  The
-dense path simulates the full 2^n statevector gate by gate and exists as an
-independent cross-check oracle; a check of many questions runs them all in
-one `DenseWork`.
+outcomes, one random word each, drawn and checked a chunk at a time; rounds
+of sampled questions come from one generator, `sampled_rounds`, which the
+bit-flip Monte Carlo consumes too.  The dense path simulates the full 2^n
+statevector gate by gate and exists as an independent cross-check oracle; a
+check of many questions runs them all in one `DenseWork`.
 
 Basis indexing matches `core`: player 1's qubit is the most significant bit
 of the basis index.
@@ -25,6 +26,7 @@ from .core import (
     Question,
     SizeLimit,
     UsageError,
+    appropriate,
     is_legitimate,
     legitimate_bits,
     target_parity,
@@ -168,6 +170,32 @@ def sample_parity_class(n: int, parity: np.ndarray, rng: np.random.Generator) ->
     return out
 
 
+def require_analytic(n: int) -> None:
+    """Refuse n beyond ANALYTIC_LIMIT, where a packed round no longer fits a machine word."""
+    if n > ANALYTIC_LIMIT:
+        raise UsageError(f"n={n} exceeds the analytic limit {ANALYTIC_LIMIT}")
+
+
+def sampled_rounds(n: int, trials: int, rng: np.random.Generator):
+    """Packed (questions, answers) of `trials` perfect rounds, a chunk at a time.
+
+    Each chunk holds ANALYTIC_CHUNK // n rounds (at least one): its
+    questions, uniform in the even parity class, then the perfect answers,
+    uniform in the class each question demands.  Memory stays flat however
+    many trials are asked for; n and trials are refused before any draw.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_analytic(n)
+    most = np.iinfo(np.int64).max  # the same bound analytic_wins puts on its rounds
+    if trials > most:
+        raise UsageError(f"{trials} trials is more than {most} rounds")
+    step = max(1, ANALYTIC_CHUNK // n)
+    for start in range(0, trials, step):
+        questions = sample_parity_class(n, np.zeros(min(step, trials - start), dtype=np.uint8), rng)
+        yield questions, sample_parity_class(n, np.bitwise_count(questions) >> 1 & 1, rng)
+
+
 def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Generator) -> int:
     """Rounds won when every packed question is played `trials` times, analytically.
 
@@ -177,8 +205,7 @@ def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Gen
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if n > ANALYTIC_LIMIT:
-        raise ValueError(f"n={n} exceeds the analytic limit {ANALYTIC_LIMIT}")
+    require_analytic(n)
     weights = np.bitwise_count(np.asarray(questions, dtype=np.uint64))
     if np.any(weights & 1):
         raise ValueError("a question violates the promise (odd weight)")
@@ -199,19 +226,13 @@ def analytic_check(n: int, trials: int, rng: np.random.Generator) -> tuple[str, 
     """Play the perfect strategy analytically; returns (coverage, rounds, wins).
 
     Up to ANALYTIC_ALL_QUESTIONS players every legitimate question is played
-    `trials` times ("all-questions").  Beyond, `trials` questions are drawn
-    from the even parity class and each is played once ("sampled-questions"),
-    drawn and played ANALYTIC_CHUNK at a time, so memory stays flat.
+    `trials` times ("all-questions").  Beyond, the `trials` rounds of
+    `sampled_rounds` are checked, one question each ("sampled-questions").
     """
     if n <= ANALYTIC_ALL_QUESTIONS:
         questions = legitimate_bits(n)
         return "all-questions", questions.size * trials, analytic_wins(n, questions, trials, rng)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    wins = 0
-    for start in range(0, trials, ANALYTIC_CHUNK):
-        even = np.zeros(min(ANALYTIC_CHUNK, trials - start), dtype=np.uint8)
-        wins += analytic_wins(n, sample_parity_class(n, even, rng), 1, rng)
+    wins = sum(int(np.count_nonzero(appropriate(q, a))) for q, a in sampled_rounds(n, trials, rng))
     return "sampled-questions", trials, wins
 
 
@@ -230,8 +251,7 @@ def sample_answers(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mode == "analytic":
-        if q.n > ANALYTIC_LIMIT:
-            raise ValueError(f"n={q.n} exceeds the analytic limit {ANALYTIC_LIMIT}")
+        require_analytic(q.n)
         parity = target_parity(q)  # raises on an illegitimate question
         outcomes = sample_parity_class(q.n, np.full(trials, parity, dtype=np.uint8), rng)
     elif mode == "dense":

@@ -209,6 +209,16 @@ def test_exhaustive_best_rejects_large_n(monkeypatch):
     )
 
 
+def test_optimal_set_is_refused_beyond_the_exhaustive_limit(monkeypatch):
+    monkeypatch.delenv("GAME_EXHAUSTIVE_LIMIT", raising=False)
+    with pytest.raises(UsageError) as refused:
+        optimal_set(GameConfig(9))
+    assert str(refused.value) == (
+        "n=9 exceeds the exhaustive limit 8 "
+        "(set GAME_EXHAUSTIVE_LIMIT to raise it); refusing to sample silently"
+    )
+
+
 def test_win_count_table_matches_oracle():
     n = 3
     wins = win_count_table(n)

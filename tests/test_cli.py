@@ -182,6 +182,26 @@ def test_config_file_mirrors_flags(capsys, tmp_path):
     code, report = run_json(capsys, "quantum", "--n", "4", "--config", str(cfg2))
     assert code == 0
     assert report["config"]["trials"] == 7
+    # ... in any spelling argparse accepts
+    code, report = run_json(capsys, "bound", "--n=3", "--config", str(cfg))
+    assert report["records"][0]["n"] == 3
+    cfg3 = tmp_path / "cfg3.json"
+    cfg3.write_text(json.dumps({"trials": 3}))
+    code, report = run_json(capsys, "quantum", "--n", "3", "--tri", "7", "--config", str(cfg3))
+    assert report["config"]["trials"] == 7
+    assert report["records"][0]["rounds"] == 4 * 7
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 10**5], ids=["not-utf8", "nested-too-deep"]
+)
+def test_unreadable_config_file_ends_in_one_line(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["bound", "--n", "3", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
 
 
 def test_report_round_trips_every_number(capsys):
@@ -378,6 +398,10 @@ def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
         ["report", "--seed", "-1"],
         ["quantum", "--n", "3", "--trials", "100000000000000000000"],  # 4 * 10^20 rounds
         ["report", "--quantum-trials", "100000000000000000000"],
+        # sampled rounds: one question per trial
+        ["quantum", "--n", "20", "--trials", "100000000000000000000"],
+        ["noise", "--n", "3", "--p", "0.9", "--trials", "100000000000000000000"],
+        ["report", "--mc-trials", "100000000000000000000"],
     ],
 )
 def test_bad_counts_and_values_end_in_one_line(capsys, argv):

@@ -304,6 +304,26 @@ def test_pinned_monte_carlo_records_follow_the_int64_oracle(capsys, argv):
         assert rec["estimate"] == int64_monte_carlo_wins(3, 0.9, 1000, chunk, rng) / 1000
 
 
+def test_perfect_check_and_noiseless_monte_carlo_draw_the_same_rounds(monkeypatch):
+    # beyond 16 players the quantum check is the p = 1 Monte Carlo: one loop draws both
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", 140)  # 7 rounds of 20 players
+    sizes = []
+    sample = quantum.sample_parity_class
+
+    def spy(n, parity, rng):
+        sizes.append(len(parity))
+        return sample(n, parity, rng)
+
+    monkeypatch.setattr(quantum, "sample_parity_class", spy)
+    checked, sampled = np.random.default_rng(20), np.random.default_rng(20)
+    assert quantum.analytic_check(20, 50, checked) == ("sampled-questions", 50, 50)
+    check_sizes = sizes.copy()
+    sizes.clear()
+    assert bitflip_monte_carlo(20, BitFlipModel(1.0), 50, sampled).wins == 50
+    assert check_sizes == sizes == [7, 7] * 7 + [1, 1]
+    assert checked.random() == sampled.random()
+
+
 def test_monte_carlo_refuses_beyond_the_analytic_limit():
     with pytest.raises(ValueError):
         bitflip_monte_carlo(63, BitFlipModel(0.9), 10, np.random.default_rng(0))

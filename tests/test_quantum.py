@@ -376,7 +376,7 @@ def test_analytic_check_plays_every_question_up_to_the_cutoff(n, trials):
 
 
 def test_analytic_check_samples_questions_a_chunk_at_a_time(monkeypatch):
-    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", 7)
+    monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", 140)  # 7 rounds of 20 players
     sizes = []
     sample = quantum.sample_parity_class
 

@@ -1,4 +1,5 @@
-"""Each sweep's size limit has one owner: its variable is named once, and only `core` reads it.
+"""Each size limit has one owner: a sweep's variable is named once, only `core`
+reads it, and the analytic limit is refused in one place.
 
 The sources are read as text and parsed with `ast`, never imported, so a
 second copy of a limit's policy shows up here rather than as two refusals
@@ -35,3 +36,8 @@ def test_only_core_reads_the_environment():
             if used & {"environ", "getenv"}:
                 readers.add(name)
     assert readers == {"core.py"}
+
+
+def test_the_analytic_limit_is_refused_in_one_place():
+    refusals = {name: text.count("exceeds the analytic limit") for name, text in sources().items()}
+    assert {name: count for name, count in refusals.items() if count} == {"quantum.py": 1}
