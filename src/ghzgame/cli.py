@@ -47,19 +47,25 @@ GRID_EXPONENT = 40
 FLAG_TOL = 1e-12
 
 
+#: the flags of every command, ahead of its own: option string and argparse keywords
+SHARED_FLAGS = (
+    ("--seed", dict(type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")),
+    ("--format", dict(choices=("text", "json"))),
+    ("--out", dict(help="write the report to this path instead of stdout")),
+    ("--config", dict(help="JSON file whose keys mirror the command flags")),
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for failed checks
+    # argparse exits 2, kept here for failed checks: a flag it rejects is a usage error
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        raise UsageError(message)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv, parser)
+        args = build_parser(argv).parse_args(argv)
         started = time.perf_counter()
         report = args.handler(args)
         elapsed = time.perf_counter() - started
@@ -73,47 +79,41 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every command, and flags for the one argv names (argparse reads no other),
+    with the values of the `--config` file in argv as their defaults."""
     parser = _Parser(prog="game", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help: str, default_format: str = "text") -> argparse.ArgumentParser:
+    def add(name: str, handler, help: str, *flags: tuple, default_format: str = "text") -> None:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")
-        p.add_argument("--format", choices=("text", "json"), default=default_format)
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--config", help="JSON file whose keys mirror the command flags")
-        return p
+        p.set_defaults(handler=handler, format=default_format)
+        if argv and argv[0] == name:
+            actions = [p.add_argument(flag, **spec) for flag, spec in SHARED_FLAGS + flags]
+            _read_config_file(actions, argv[1:])
 
-    p = add("bound", cmd_bound, "print the exact classical success-proportion bound")
-    p.add_argument("--n", required=True, type=int)
-
-    p = add("search", cmd_search, "exhaustively confirm the bound and the simple optimal strategy")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--witnesses", help="CSV path for all maximizing strategies")
-
-    p = add("quantum", cmd_quantum, "play the perfect quantum strategy and verify certainty")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dense-check", action="store_true", dest="dense_check")
-
-    p = add("noise", cmd_noise, "bit-flip noise: win probabilities, thresholds, Monte Carlo")
-    p.add_argument("--n", required=True, help="player count or range, e.g. 3 or 3..9")
-    p.add_argument("--p", default=None, help="reliability grid start:stop:step, e.g. 0.80:0.99:0.01")
-    p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per grid point (0 = none)")
-    p.add_argument("--csv", help="CSV path for the grid records")
-
-    p = add("detect", cmd_detect, "detection inefficiency: thresholds and the no-output sweep")
-    p.add_argument("--n", required=True, help="player count or range, e.g. 3..5")
-    p.add_argument("--eta", default=None, help="efficiency grid start:stop:step")
-    p.add_argument("--csv", help="CSV path for the grid records")
-
-    p = add("report", cmd_report, "one document reproducing every headline number", default_format="json")
-    p.add_argument("--quantum-trials", type=int, default=50, dest="quantum_trials")
-    p.add_argument("--mc-trials", type=int, default=100000, dest="mc_trials")
-
+    n = ("--n", dict(required=True, type=int))
+    csv = ("--csv", dict(help="CSV path for the grid records"))
+    add("bound", cmd_bound, "print the exact classical success-proportion bound", n)
+    add("search", cmd_search, "exhaustively confirm the bound and the simple optimal strategy", n,
+        ("--witnesses", dict(help="CSV path for all maximizing strategies")))
+    add("quantum", cmd_quantum, "play the perfect quantum strategy and verify certainty", n,
+        ("--trials", dict(type=int, default=100)),
+        ("--dense-check", dict(action="store_true")))
+    add("noise", cmd_noise, "bit-flip noise: win probabilities, thresholds, Monte Carlo",
+        ("--n", dict(required=True, help="player count or range, e.g. 3 or 3..9")),
+        ("--p", dict(help="reliability grid start:stop:step, e.g. 0.80:0.99:0.01")),
+        ("--trials", dict(type=int, default=0, help="Monte Carlo trials per grid point (0 = none)")),
+        csv)
+    add("detect", cmd_detect, "detection inefficiency: thresholds and the no-output sweep",
+        ("--n", dict(required=True, help="player count or range, e.g. 3..5")),
+        ("--eta", dict(help="efficiency grid start:stop:step")),
+        csv)
+    add("report", cmd_report, "one document reproducing every headline number",
+        ("--quantum-trials", dict(type=int, default=50)),
+        ("--mc-trials", dict(type=int, default=100000)),
+        default_format="json")
     return parser
 
 
@@ -484,25 +484,28 @@ def _report(command: str, args, records: list[dict], checks: list[dict] | None =
     }
 
 
-def _apply_config_file(args, argv: list[str], parser: argparse.ArgumentParser):
-    """`args` with the values of its `--config` file as the command's defaults.
+def _read_config_file(actions: list[argparse.Action], argv: list[str]) -> None:
+    """Make the values of the `--config` file in a command's argv its flags' defaults.
 
-    argv is parsed again over those defaults, so a flag given on the command
-    line wins in any spelling argparse accepts (`--n=5`, `--tri 7`).
+    A pre-parser with the same option strings, each value optional, finds the file
+    as the one parse of argv will, lets help win, and reports no error it would not.
     """
-    if not getattr(args, "config", None):
-        return args
+    pre = _Parser(add_help=False)
+    pre.add_argument("-h", "--help", action="store_true")
+    for action in actions:
+        pre.add_argument(*action.option_strings, nargs="?")
+    known = pre.parse_known_args(argv)[0]
+    if known.help or not known.config:
+        return
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(known.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: bad JSON or bad UTF-8; RecursionError: arrays nested too deep
-        raise UsageError(f"cannot read config file {args.config!r}: {exc}") from None
+        raise UsageError(f"cannot read config file {known.config!r}: {exc}") from None
     if not isinstance(overrides, dict):
-        raise UsageError(f"config file {args.config!r} must hold a JSON object")
-    command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparser = command.choices[args.command]
-    flags = {a.dest: a for a in subparser._actions if a.dest != "help"}
+        raise UsageError(f"config file {known.config!r} must hold a JSON object")
+    flags = {action.dest: action for action in actions if action.dest != "config"}
     for key, value in overrides.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
@@ -511,8 +514,8 @@ def _apply_config_file(args, argv: list[str], parser: argparse.ArgumentParser):
         want = bool if action.nargs == 0 else action.type or str
         if type(value) is not want or (action.choices and value not in action.choices):
             raise UsageError(f"config key {key!r} needs a JSON {want.__name__}, got {value!r}")
-        subparser.set_defaults(**{action.dest: value})
-    return parser.parse_args(argv)
+        action.default = value
+        action.required = False
 
 
 def _emit(report: dict, args) -> None:

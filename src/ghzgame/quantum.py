@@ -176,6 +176,12 @@ def require_analytic(n: int) -> None:
         raise UsageError(f"n={n} exceeds the analytic limit {ANALYTIC_LIMIT}")
 
 
+def require_rounds(rounds: int, what: str) -> None:
+    """Refuse more rounds than the int64 maximum, which numbers every sampled round."""
+    if rounds > np.iinfo(np.int64).max:
+        raise UsageError(f"{what} is more than {np.iinfo(np.int64).max} rounds")
+
+
 def sampled_rounds(n: int, trials: int, rng: np.random.Generator):
     """Packed (questions, answers) of `trials` perfect rounds, a chunk at a time.
 
@@ -187,9 +193,7 @@ def sampled_rounds(n: int, trials: int, rng: np.random.Generator):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_analytic(n)
-    most = np.iinfo(np.int64).max  # the same bound analytic_wins puts on its rounds
-    if trials > most:
-        raise UsageError(f"{trials} trials is more than {most} rounds")
+    require_rounds(trials, f"{trials} trials")
     step = max(1, ANALYTIC_CHUNK // n)
     for start in range(0, trials, step):
         questions = sample_parity_class(n, np.zeros(min(step, trials - start), dtype=np.uint8), rng)
@@ -211,9 +215,7 @@ def analytic_wins(n: int, questions: np.ndarray, trials: int, rng: np.random.Gen
         raise ValueError("a question violates the promise (odd weight)")
     parity = (weights >> 1) & 1
     rounds = parity.size * trials
-    most = np.iinfo(np.int64).max  # rounds are numbered in int64
-    if rounds > most:
-        raise UsageError(f"{parity.size} questions times {trials} trials is more than {most} rounds")
+    require_rounds(rounds, f"{parity.size} questions times {trials} trials")
     wins = 0
     for start in range(0, rounds, ANALYTIC_CHUNK):
         want = parity[np.arange(start, min(start + ANALYTIC_CHUNK, rounds)) // trials]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -26,6 +27,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+def config_file(tmp_path, values: dict) -> str:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    return str(cfg)
 
 
 def test_bound_command(capsys):
@@ -164,6 +171,12 @@ def test_config_value_of_wrong_type_is_a_usage_error(capsys, tmp_path):
     assert err == "error: config key 'trials' needs a JSON int, got '7'\n"
 
 
+def test_config_file_cannot_name_another(capsys, tmp_path):
+    cfg = config_file(tmp_path, {"n": 3, "config": str(tmp_path / "other.json")})
+    assert main(["bound", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: config key 'config' does not match any flag\n"
+
+
 def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     out = tmp_path / "missing" / "report.json"
     assert main(["bound", "--n", "3", "--out", str(out)]) == 1
@@ -193,15 +206,97 @@ def test_config_file_mirrors_flags(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe{}", b"[" * 10**5], ids=["not-utf8", "nested-too-deep"]
+    "content", [b"\xff\xfe{}", b"[" * 10**5, None], ids=["not-utf8", "nested-too-deep", "missing"]
 )
 def test_unreadable_config_file_ends_in_one_line(capsys, tmp_path, content):
     cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(content)
+    if content is not None:
+        cfg.write_bytes(content)
     assert main(["bound", "--n", "3", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
+
+
+#: each command that takes --n, with a value for it as the config file holds it:
+#: a JSON int where the flag is an int, a string where it is a player range
+CONFIG_N = [("bound", 4), ("search", 4), ("quantum", 4), ("noise", "3..4"), ("detect", "3..4")]
+
+
+@pytest.mark.parametrize("command,n", CONFIG_N)
+def test_config_file_alone_supplies_n(capsys, tmp_path, command, n):
+    code, report = run_json(capsys, command, "--config", config_file(tmp_path, {"n": n}))
+    assert code == 0
+    assert report["config"]["n"] == n
+
+
+@pytest.mark.parametrize("command,n", CONFIG_N)
+def test_n_on_the_command_line_beats_the_config_file(capsys, tmp_path, command, n):
+    code, report = run_json(capsys, command, "--n=3", "--config", config_file(tmp_path, {"n": n}))
+    assert code == 0
+    assert report["config"]["n"] == (3 if isinstance(n, int) else "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["quantum", "--n", "3"], ["noise", "--n", "3", "--p", "0.9"]],
+    ids=["quantum", "noise"],
+)
+def test_an_abbreviated_flag_beats_the_config_file(capsys, tmp_path, argv):
+    cfg = config_file(tmp_path, {"trials": 3})
+    code, report = run_json(capsys, *argv, "--tri", "7", "--config", cfg)
+    assert code == 0
+    assert report["config"]["trials"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv,config,key,want",
+    [
+        (["quantum", "--n", "3"], {"dense-check": True}, "dense_check", True),
+        (["report", "--mc-trials", "1000"], {"quantum-trials": 7}, "quantum_trials", 7),
+    ],
+    ids=["dense-check", "quantum-trials"],
+)
+def test_config_keys_may_be_dashed(capsys, tmp_path, argv, config, key, want):
+    code, report = run_json(capsys, *argv, "--config", config_file(tmp_path, config))
+    assert code == 0
+    assert report["config"][key] == want
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bound", "--n", "3", "--config"], "argument --config: expected one argument"),
+        (["bound", "--n", "3", "--out", "--config"], "argument --out: expected one argument"),
+        # no file of that name exists: it is never read as a config file
+        (["noise", "--n", "3", "--c", "f.json"], "ambiguous option: --c could match --config, --csv"),
+    ],
+    ids=["config-without-value", "out-without-value", "ambiguous-c"],
+)
+def test_a_bad_config_flag_is_refused_by_argparse(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_wins_over_the_config_file(capsys, tmp_path):
+    with pytest.raises(SystemExit) as plain:
+        main(["bound", "-h"])
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as configured:
+        main(["bound", "-h", "--config", str(tmp_path / "missing.json")])
+    assert plain.value.code == configured.value.code == 0
+    assert capsys.readouterr().out == want
+
+
+def test_cli_reads_no_private_attribute():
+    # argparse's `_actions` or `_SubParsersAction` may change under any release
+    tree = ast.parse(Path(ghzgame.cli.__file__).read_text())
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+    }
+    assert private == set()
 
 
 def test_report_round_trips_every_number(capsys):
@@ -402,6 +497,10 @@ def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
         ["quantum", "--n", "20", "--trials", "100000000000000000000"],
         ["noise", "--n", "3", "--p", "0.9", "--trials", "100000000000000000000"],
         ["report", "--mc-trials", "100000000000000000000"],
+        # flags argparse rejects: a missing --n, a bad int, an unknown flag
+        ["bound"],
+        ["quantum", "--n", "x"],
+        ["search", "--n", "3", "--bogus"],
     ],
 )
 def test_bad_counts_and_values_end_in_one_line(capsys, argv):

@@ -1,5 +1,6 @@
 """Each size limit has one owner: a sweep's variable is named once, only `core`
-reads it, and the analytic limit is refused in one place.
+reads it, and the analytic limit and the int64 round limit are each refused in
+one place.
 
 The sources are read as text and parsed with `ast`, never imported, so a
 second copy of a limit's policy shows up here rather than as two refusals
@@ -40,4 +41,9 @@ def test_only_core_reads_the_environment():
 
 def test_the_analytic_limit_is_refused_in_one_place():
     refusals = {name: text.count("exceeds the analytic limit") for name, text in sources().items()}
+    assert {name: count for name, count in refusals.items() if count} == {"quantum.py": 1}
+
+
+def test_the_int64_round_limit_is_refused_in_one_place():
+    refusals = {name: text.count("is more than") for name, text in sources().items()}
     assert {name: count for name, count in refusals.items() if count} == {"quantum.py": 1}
