@@ -157,38 +157,29 @@ def cmd_quantum(args) -> dict:
 
 def cmd_noise(args) -> dict:
     n_values = _parse_range(args.n)
-    p_grid = _parse_grid(args.p, len(n_values), "reliability p", Fraction(1, 2)) if args.p else []
+    grid = _parse_grid(args, noise.BITFLIP, len(n_values))
     trials = _require_at_least(args.trials, 0, "--trials")
-    if trials and p_grid:
+    if trials:
         quantum.require_analytic(n_values[-1])
     rng = _rng(args)
-    records = []
-    checks = []
-    for n in n_values:
-        grid = noise.compare_report([n], p_grid=p_grid)
-        _add_grid(records, checks, n, "bitflip_threshold", noise.bitflip_threshold(n), "p", grid)
-        if trials:
-            records.extend(_monte_carlo_record(n, p, trials, rng) for p in p_grid)
-    if args.csv:
-        _write_grid_csv(args.csv, [r for r in records if r.get("kind") == "bitflip"])
-    return _report("noise", args, records=records, checks=checks)
+
+    def monte_carlo(n: int, records: list[dict], checks: list[dict]) -> None:
+        records.extend(_monte_carlo_record(n, p, trials, rng) for p in grid if trials)
+
+    return _grid_report("noise", args, noise.BITFLIP, n_values, grid, monte_carlo)
 
 
 def cmd_detect(args) -> dict:
     n_values = _parse_range(args.n)
-    eta_grid = _parse_grid(args.eta, len(n_values), "efficiency eta", 0) if args.eta else []
+    grid = _parse_grid(args, noise.DETECTION, len(n_values))
     noise.EXTENDED_LIMIT.require(n_values[-1])
-    records = []
-    checks = []
-    for n in n_values:
-        grid = noise.compare_report([n], eta_grid=eta_grid)
-        _add_grid(records, checks, n, "detection_threshold", noise.detection_threshold(n), "eta", grid)
+
+    def errorfree(n: int, records: list[dict], checks: list[dict]) -> None:
         record = _errorfree_record(n)
         records.append(record)
         checks.append(_check(f"errorfree_max_is_two_n{n}", record["max_winnable"] == 2))
-    if args.csv:
-        _write_grid_csv(args.csv, [r for r in records if r.get("kind") == "detection"])
-    return _report("detect", args, records=records, checks=checks)
+
+    return _grid_report("detect", args, noise.DETECTION, n_values, grid, errorfree)
 
 
 def cmd_report(args) -> dict:
@@ -244,9 +235,9 @@ def cmd_report(args) -> dict:
     expected = noise.bitflip_win_prob(3, noise.BitFlipModel(0.9))
     fields = ("derivation", "n", "p", "trials", "estimate", "std_error")
     records.append(_section("bitflip", est, fields, closed_form=expected))
-    checks.append(
-        _check("bitflip_monte_carlo_n3", abs(est["estimate"] - expected) <= 4 * est["std_error"])
-    )
+    # within 5 standard deviations of the exact 189/250: a false alarm about 5.7 in 10^7 runs
+    deviation = 250 * est["wins"] - 189 * est["trials"]
+    checks.append(_check("bitflip_monte_carlo_n3", deviation**2 <= 25 * 189 * 61 * est["trials"]))
 
     # detection thresholds, the no-output sweep, and the reference table
     d3 = noise.detection_threshold(3)
@@ -372,33 +363,25 @@ def _reference_wins_expected(n: int) -> bool:
     return won == {0, 0b11 << (n - 2)}
 
 
-def _add_grid(records, checks, n: int, name: str, threshold: float, param: str, grid) -> None:
-    """The threshold record for n, one record per grid point, and the flags' consistency check."""
-    records.append({"kind": "threshold", "n": n, "derivation": "closed-form", name: threshold})
-    records.extend(_comparison_record(rec, param) for rec in grid)
-    if grid:
-        checks.append(_check(f"threshold_flags_consistent_n{n}", _flags_consistent(grid)))
-
-
-def _flags_consistent(grid: list[noise.ComparisonRecord]) -> bool:
-    """Exact flags agree with the float threshold wherever a float can order the two."""
-    clear = [r for r in grid if not math.isclose(r.param, r.threshold, rel_tol=FLAG_TOL)]
-    return all((r.param > r.threshold) == (r.flag == "quantum-wins") for r in clear)
-
-
-def _comparison_record(rec: noise.ComparisonRecord, param_name: str) -> dict:
-    return {
-        "kind": rec.kind,
-        "n": rec.n,
-        param_name: rec.param,
-        "derivation": "closed-form",
-        "quantum": rec.quantum,
-        "classical": rec.classical,
-        "classical_exact": _rational(rec.classical_exact),
-        "margin": rec.quantum - rec.classical,
-        "threshold": rec.threshold,
-        "flag": rec.flag,
-    }
+def _grid_report(command: str, args, model: noise.GridModel, n_values, grid, more) -> dict:
+    """Per n: the threshold record, one record per grid point, a check that the exact
+    flags agree with the float threshold wherever a float can order the two, then
+    what `more(n, records, checks)` adds.  The grid records also go to `--csv`."""
+    records = []
+    checks = []
+    x = model.param
+    for n in n_values:
+        rows = noise.compare_report(n, model, grid)
+        threshold = {"kind": "threshold", "n": n, "derivation": "closed-form"}
+        records += [{**threshold, f"{model.kind}_threshold": model.threshold(n)}, *rows]
+        clear = [r for r in rows if not math.isclose(r[x], r["threshold"], rel_tol=FLAG_TOL)]
+        consistent = all((r[x] > r["threshold"]) == (r["flag"] == "quantum-wins") for r in clear)
+        if rows:
+            checks.append(_check(f"threshold_flags_consistent_n{n}", consistent))
+        more(n, records, checks)
+    if args.csv:
+        _write_grid_csv(args.csv, [r for r in records if r["kind"] == model.kind])
+    return _report(command, args, records=records, checks=checks)
 
 
 def _require_at_least(value: int, least: int, flag: str) -> int:
@@ -427,12 +410,19 @@ def _parse_range(text: str) -> range:
     return values
 
 
-def _parse_grid(text: str, n_count: int, name: str, least) -> list[Fraction]:
-    """start:stop:step (or one value), exactly: start + k*step for every k that stays <= stop.
+def _parse_grid(args, model: noise.GridModel, n_count: int) -> list[Fraction]:
+    """The model's grid flag, exactly: start:stop:step (or one value) is start + k*step
+    for every k that stays <= stop, and without the flag the grid is empty.
 
-    Every point must lie in [least, 1].  The points are counted, times
+    Every point must lie in [model.least, 1].  The points are counted, times
     `n_count` player counts, before any is built.
     """
+    text = getattr(args, model.param)
+    if text is None:
+        for flag in ("csv", "trials"):  # they act on grid points; `detect` has no --trials
+            if getattr(args, flag, None):
+                raise UsageError(f"--{flag} needs a --{model.param} grid")
+        return []
     parts = text.split(":") if ":" in text else [text, text, "1"]
     if len(parts) != 3:
         raise UsageError(f"bad grid {text!r}: expected start:stop:step")
@@ -446,8 +436,8 @@ def _parse_grid(text: str, n_count: int, name: str, least) -> list[Fraction]:
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid bounds {text!r}")
     count = (stop - start) // step + 1
-    if start < least or start + (count - 1) * step > 1:
-        raise UsageError(f"{name} grid {text!r} leaves [{float(least)}, 1]")
+    if start < model.least or start + (count - 1) * step > 1:
+        raise UsageError(f"--{model.param} grid {text!r} leaves [{float(model.least)}, 1]")
     if count * n_count > GRID_LIMIT:
         raise UsageError(
             f"grid {text!r} over {n_count} player counts has {count * n_count} points, "
@@ -456,12 +446,9 @@ def _parse_grid(text: str, n_count: int, name: str, least) -> list[Fraction]:
     return [start + k * step for k in range(count)]
 
 
-def _rational(frac: Fraction) -> str:
-    return f"{frac.numerator}/{frac.denominator}"
-
-
 def _fraction_fields(name: str, frac: Fraction) -> dict:
-    return {name: _rational(frac), f"{name}_decimal": format(float(frac), ".12g")}
+    exact = f"{frac.numerator}/{frac.denominator}"
+    return {name: exact, f"{name}_decimal": format(float(frac), ".12g")}
 
 
 def _check(name: str, ok: bool) -> dict:
@@ -589,11 +576,9 @@ def _open_for_writing(path: str | None):
 
 
 def _write_grid_csv(path: str, records: list[dict]) -> None:
-    if not records:
-        return
-    fields = sorted({k for r in records for k in r})
+    """The grid records of one model, which all carry the same keys, in sorted columns."""
     with _open_for_writing(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=sorted(records[0]))
         writer.writeheader()
         writer.writerows(records)
 

@@ -12,6 +12,7 @@ little an error-free classical strategy can achieve.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,66 +257,66 @@ def errorfree_reference_strategy(cfg: GameConfig) -> ExtendedStrategy:
 
 
 @dataclass(frozen=True)
-class ComparisonRecord:
-    """One grid point of the quantum-vs-classical comparison."""
+class GridModel:
+    """What the bit-flip and detection grids differ in: `BITFLIP` and `DETECTION`."""
 
-    kind: str  # "bitflip" or "detection"
-    n: int
-    param: float  # p or eta
-    quantum: float
-    classical: float
-    classical_exact: Fraction
-    threshold: float
-    flag: str  # "quantum-wins" or "classical-reachable"
+    kind: str  # each grid record's kind
+    param: str  # the grid value's key in each record: p or eta
+    least: Fraction  # the smallest grid value the model takes
+    classical: Callable[[int], Fraction]  # the best classical win rate at n
+    threshold: Callable[[int], float]  # grid values above it let noisy quantum play win
+    quantum_wins: Callable[[int, int, int], bool]  # exactly, at n for the grid value a/b
+    win_prob: Callable[[int, float], float]  # the noisy quantum win probability at n
 
 
-def compare_report(
-    n_values: list[int],
-    p_grid: list[Fraction | float] | None = None,
-    eta_grid: list[Fraction | float] | None = None,
-) -> list[ComparisonRecord]:
-    """Tabulate noisy-quantum vs classical over grids of reliabilities/efficiencies.
+BITFLIP = GridModel(
+    "bitflip",
+    "p",
+    Fraction(1, 2),
+    classical=lambda n: classical_bound(n),  # the name is read per call: a tracer may rebind it
+    threshold=bitflip_threshold,
+    # (2p-1)^n > 2^(1-ceil(n/2)), both sides times b^n 2^(ceil(n/2)-1)
+    quantum_wins=lambda n, a, b: ((2 * a - b) ** n << (n + 1) // 2 - 1) > b**n,
+    win_prob=lambda n, p: bitflip_win_prob(n, BitFlipModel(p)),
+)
+DETECTION = GridModel(
+    "detection",
+    "eta",
+    Fraction(0),
+    classical=lambda n: Fraction(2, 1 << (n - 1)),  # the no-output sweep's 2 questions won
+    threshold=detection_threshold,
+    quantum_wins=lambda n, a, b: (a**n << n - 2) > b**n,  # eta^n > 2^(2-n), times b^n 2^(n-2)
+    win_prob=lambda n, eta: detection_win_prob(n, DetectionModel(eta)),
+)
+
+
+def compare_report(n: int, model: GridModel, grid: list[Fraction | float]) -> list[dict]:
+    """The record of each grid point: noisy-quantum against classical play at n.
 
     Flags are decided in exact arithmetic on each grid value; the records
     show the value and the quantum win probability as floats.
     """
+    bound = model.classical(n)
+    classical, threshold = float(bound), model.threshold(n)
+    exact = f"{bound.numerator}/{bound.denominator}"
     records = []
-    for n in n_values:
-        bound = classical_bound(n)
-        threshold = bitflip_threshold(n)
-        for p in p_grid or []:
-            a, b = p.as_integer_ratio()
-            # (2p-1)^n > 2^(1-ceil(n/2)), both sides times b^n 2^(ceil(n/2)-1)
-            quantum_wins = ((2 * a - b) ** n << (n + 1) // 2 - 1) > b**n
-            records.append(
-                ComparisonRecord(
-                    kind="bitflip",
-                    n=n,
-                    param=float(p),
-                    quantum=bitflip_win_prob(n, BitFlipModel(float(p))),
-                    classical=float(bound),
-                    classical_exact=bound,
-                    threshold=threshold,
-                    flag="quantum-wins" if quantum_wins else "classical-reachable",
-                )
-            )
-        bound = Fraction(2, 1 << (n - 1))
-        threshold = detection_threshold(n)
-        for eta in eta_grid or []:
-            a, b = eta.as_integer_ratio()
-            quantum_wins = (a**n << n - 2) > b**n  # eta^n > 2^(2-n), times b^n 2^(n-2)
-            records.append(
-                ComparisonRecord(
-                    kind="detection",
-                    n=n,
-                    param=float(eta),
-                    quantum=detection_win_prob(n, DetectionModel(float(eta))),
-                    classical=float(bound),
-                    classical_exact=bound,
-                    threshold=threshold,
-                    flag="quantum-wins" if quantum_wins else "classical-reachable",
-                )
-            )
+    for x in grid:
+        quantum = model.win_prob(n, float(x))
+        wins = model.quantum_wins(n, *x.as_integer_ratio())
+        records.append(
+            {
+                "kind": model.kind,
+                "n": n,
+                model.param: float(x),
+                "derivation": "closed-form",
+                "quantum": quantum,
+                "classical": classical,
+                "classical_exact": exact,
+                "margin": quantum - classical,
+                "threshold": threshold,
+                "flag": "quantum-wins" if wins else "classical-reachable",
+            }
+        )
     return records
 
 

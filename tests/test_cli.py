@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ghzgame
-from ghzgame import classical
+from ghzgame import classical, noise
 from ghzgame.classical import DeterministicStrategy
 from ghzgame.core import GameConfig
 from ghzgame.cli import main
@@ -329,6 +329,29 @@ def test_injected_fault_trips_exit_code(capsys, monkeypatch):
     assert code == 2
 
 
+# seeds whose n = 3 estimate lies beyond 4 estimated standard errors of the
+# closed form, within 5 exact standard deviations of 189/250
+@pytest.mark.parametrize("seed", [3243, 5786, 48116, 50843])
+def test_report_monte_carlo_check_passes_on_former_false_alarms(capsys, seed):
+    code, report = run_json(capsys, "report", "--seed", str(seed))
+    assert code == 0
+    (check,) = [c for c in report["checks"] if c["name"] == "bitflip_monte_carlo_n3"]
+    assert check["ok"]
+
+
+def test_report_monte_carlo_check_catches_a_biased_estimate(capsys, monkeypatch):
+    # p = 0.89 wins with probability 0.737, against 0.756 at the reported p = 0.9
+    unbiased = noise.bitflip_monte_carlo
+
+    def biased(n, model, trials, rng):
+        return unbiased(n, noise.BitFlipModel(0.89), trials, rng)
+
+    monkeypatch.setattr(noise, "bitflip_monte_carlo", biased)
+    code, report = run_json(capsys, "report")
+    assert code == 2
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["bitflip_monte_carlo_n3"]
+
+
 @pytest.mark.parametrize(
     "env,value,message",
     [
@@ -386,6 +409,11 @@ PINNED_REPORTS = [
         "0e05a15b9afc81f0bae8009bcad83ed47eb119c48fa0be2e31baee97ba132085",
         id="noise",
     ),
+    pytest.param(
+        ["detect", "--n", "3..5", "--eta", "0.5:1.0:0.01"],
+        "52574a893bbeab404da088441b0faab24212c71c739c835634202af578564f4d",
+        id="detect",
+    ),
 ]
 
 
@@ -409,6 +437,16 @@ PINNED_TEXT_REPORTS = [
         "7eb261461cb8d38e73fc974cbceee5fdc67f76580979b76c5ca95aa9294825e6",
         id="quantum",
     ),
+    pytest.param(
+        ["noise", "--n", "3..5", "--p", "0.8:0.9:0.05", "--trials", "1000", "--seed", "7"],
+        "bd17ba05297e1f63dcdb90a9b01870e38a100aa9ec94d151ce86623e9d403e05",
+        id="noise",
+    ),
+    pytest.param(
+        ["detect", "--n", "3..5", "--eta", "0.5:1.0:0.01"],
+        "9938f4d1f7b6ace76c1fd409c31ea8d3926d057e9977791d2d7f3b236c462c6e",
+        id="detect",
+    ),
 ]
 
 
@@ -417,6 +455,29 @@ def test_seeded_text_report_digest_is_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv, "--format", "text")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the grid CSVs, which hold the grid records only, in sorted columns.
+PINNED_CSVS = [
+    pytest.param(
+        ["noise", "--n", "3..5", "--p", "0.8:0.9:0.05", "--trials", "1000", "--seed", "7"],
+        "3cfc0e867ff79f67c387f5a0d0263f2e6b7ba912983739765b11d8cc3ea2cd0a",
+        id="noise",
+    ),
+    pytest.param(
+        ["detect", "--n", "3..5", "--eta", "0.5:1.0:0.01"],
+        "4e384c1db3f1b1a59ab37fbc0f80455e2764a40b52a5550293ec2decfabb7360",
+        id="detect",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_CSVS)
+def test_grid_csv_digest_is_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "grid.csv"
+    code, _ = run(capsys, *argv, "--csv", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_grid_steps_are_exact_decimals(capsys):
@@ -501,6 +562,11 @@ def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
         ["bound"],
         ["quantum", "--n", "x"],
         ["search", "--n", "3", "--bogus"],
+        # flags that act on grid points, without a grid
+        ["noise", "--n", "3", "--trials", "1000"],
+        ["noise", "--n", "3", "--trials", "1000", "--csv", "out.csv"],
+        ["noise", "--n", "3", "--csv", "out.csv"],
+        ["detect", "--n", "3", "--csv", "out.csv"],
     ],
 )
 def test_bad_counts_and_values_end_in_one_line(capsys, argv):

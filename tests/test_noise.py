@@ -457,16 +457,17 @@ def test_all_bot_player_wins_nothing():
 
 
 def test_compare_report_flags():
-    recs = compare_report([3], p_grid=[0.85, 0.95], eta_grid=[0.6, 0.9])
-    by_key = {(r.kind, r.param): r for r in recs}
-    assert by_key[("bitflip", 0.95)].flag == "quantum-wins"
-    assert by_key[("bitflip", 0.95)].quantum == pytest.approx(0.8645, abs=1e-10)
-    assert by_key[("bitflip", 0.85)].flag == "classical-reachable"
-    assert by_key[("bitflip", 0.85)].quantum == pytest.approx(0.6715, abs=1e-10)
-    assert by_key[("detection", 0.9)].flag == "quantum-wins"
-    assert by_key[("detection", 0.6)].flag == "classical-reachable"
-    for r in recs:
-        assert (r.param > r.threshold) == (r.flag == "quantum-wins")
+    recs = compare_report(3, noise.BITFLIP, [0.85, 0.95])
+    recs += compare_report(3, noise.DETECTION, [0.6, 0.9])
+    by_key = {(r["kind"], r.get("p", r.get("eta"))): r for r in recs}
+    assert by_key[("bitflip", 0.95)]["flag"] == "quantum-wins"
+    assert by_key[("bitflip", 0.95)]["quantum"] == pytest.approx(0.8645, abs=1e-10)
+    assert by_key[("bitflip", 0.85)]["flag"] == "classical-reachable"
+    assert by_key[("bitflip", 0.85)]["quantum"] == pytest.approx(0.6715, abs=1e-10)
+    assert by_key[("detection", 0.9)]["flag"] == "quantum-wins"
+    assert by_key[("detection", 0.6)]["flag"] == "classical-reachable"
+    for (_, param), r in by_key.items():
+        assert (param > r["threshold"]) == (r["flag"] == "quantum-wins")
 
 
 def test_compare_report_flags_match_exact_oracle():
@@ -476,15 +477,18 @@ def test_compare_report_flags_match_exact_oracle():
         eta_grid = [Fraction(k, 1000) for k in range(0, 1001, 7)]
         for thr, grid in ((bitflip_threshold(n), p_grid), (detection_threshold(n), eta_grid)):
             grid += [math.nextafter(thr, 0.0), thr, math.nextafter(thr, 2.0)]
-        recs = compare_report([n], p_grid=p_grid, eta_grid=eta_grid)
+        bitflip = compare_report(n, noise.BITFLIP, p_grid)
+        detection = compare_report(n, noise.DETECTION, eta_grid)
+        recs = bitflip + detection
         want = [Fraction(1, 2) + (2 * Fraction(p) - 1) ** n / 2 > classical_bound(n) for p in p_grid]
         want += [Fraction(eta) ** n > Fraction(2, 2 ** (n - 1)) for eta in eta_grid]
-        assert [r.flag == "quantum-wins" for r in recs] == want
-        assert [r.param for r in recs] == [float(x) for x in p_grid + eta_grid]
+        assert [r["flag"] == "quantum-wins" for r in recs] == want
+        params = [r["p"] for r in bitflip] + [r["eta"] for r in detection]
+        assert params == [float(x) for x in p_grid + eta_grid]
 
 
 def test_compare_report_detection_example():
-    (rec,) = compare_report([10], eta_grid=[0.6])
-    assert rec.quantum == pytest.approx(0.6**10)
-    assert rec.classical == pytest.approx(2 / 2**9)
-    assert rec.flag == "quantum-wins"
+    (rec,) = compare_report(10, noise.DETECTION, [0.6])
+    assert rec["quantum"] == pytest.approx(0.6**10)
+    assert rec["classical"] == pytest.approx(2 / 2**9)
+    assert rec["flag"] == "quantum-wins"
