@@ -16,9 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    Answer,
     GameConfig,
-    Question,
+    OutputTable,
     SizeLimit,
     answer_bits,
     appropriate,
@@ -35,43 +34,13 @@ def classical_bound(n: int) -> Fraction:
     return Fraction(1, 2) + Fraction(1, 1 << math.ceil(n / 2))
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Per-player output table: outputs[i-1] = (output on input 0, output on input 1)."""
-
-    outputs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for pair in self.outputs:
-            if len(pair) != 2 or any(b not in (0, 1) for b in pair):
-                raise ValueError(f"bad output pair {pair!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.outputs)
-
-    @classmethod
-    def from_code(cls, n: int, code: int) -> "DeterministicStrategy":
-        """Unpack a 2n-bit code; player 1's pair sits in the most significant bits."""
-        if not 0 <= code < 1 << (2 * n):
-            raise ValueError(f"code {code} out of range for n={n}")
-        outputs = []
-        for i in range(1, n + 1):
-            shift = 2 * (n - i)
-            outputs.append(((code >> (shift + 1)) & 1, (code >> shift) & 1))
-        return cls(tuple(outputs))
+class DeterministicStrategy(OutputTable):
+    """An output table over {0, 1}: its code holds 2 bits per player."""
 
     @classmethod
     def from_strings(cls, pairs: list[str] | tuple[str, ...]) -> "DeterministicStrategy":
         """Build from two-character strings like "01" (output on 0, output on 1)."""
         return cls(tuple((int(p[0]), int(p[1])) for p in pairs))
-
-    @property
-    def code(self) -> int:
-        c = 0
-        for out0, out1 in self.outputs:
-            c = (c << 2) | (out0 << 1) | out1
-        return c
 
 
 @dataclass(frozen=True)
@@ -82,13 +51,6 @@ class StrategyScore:
     im: int
     wins: int
     losses: int
-
-
-def eval_answer(strat: DeterministicStrategy, q: Question) -> Answer:
-    """The answer the strategy produces on a question (no communication, so per-player lookup)."""
-    if strat.n != q.n:
-        raise ValueError(f"size mismatch: strategy n={strat.n}, question n={q.n}")
-    return Answer(q.n, answer_bits(*output_masks(strat.outputs), q.bits))
 
 
 def success_proportion(strat: DeterministicStrategy) -> Fraction:

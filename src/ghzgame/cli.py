@@ -121,12 +121,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def cmd_bound(args) -> dict:
-    n = _require_at_least(args.n, 3, "--n")
-    # 2^ceil(n/2) < 10^digits prints within the int-to-str limit (its default when it is off)
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    largest = 2 * ((10**digits).bit_length() - 1)
-    if n > largest:
-        raise UsageError(f"--n must be <= {largest}, whose bound has {digits} digits, got {n}")
+    n = _require_printable_bound(_require_at_least(args.n, 3, "--n"))
     return _report("bound", args, records=[_bound_record(n)])
 
 
@@ -157,6 +152,7 @@ def cmd_quantum(args) -> dict:
 
 def cmd_noise(args) -> dict:
     n_values = _parse_range(args.n)
+    _require_printable_bound(n_values[-1])
     grid = _parse_grid(args, noise.BITFLIP, len(n_values))
     trials = _require_at_least(args.trials, 0, "--trials")
     if trials:
@@ -388,6 +384,17 @@ def _require_at_least(value: int, least: int, flag: str) -> int:
     if value < least:
         raise UsageError(f"{flag} must be >= {least}, got {value}")
     return value
+
+
+def _require_printable_bound(n: int) -> int:
+    """Refuse an n whose classical bound 1/2 + 2^-ceil(n/2) would not print as an exact
+    fraction within Python's limit on int-to-string digits."""
+    # 2^ceil(n/2) < 10^digits prints within the int-to-str limit (its default when it is off)
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    largest = 2 * ((10**digits).bit_length() - 1)
+    if n > largest:
+        raise UsageError(f"--n must be <= {largest}, whose bound has {digits} digits, got {n}")
+    return n
 
 
 def _rng(args) -> np.random.Generator:

@@ -13,8 +13,10 @@ order of the packed value.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -186,6 +188,51 @@ def answer_bits(on0, on1, q):
 def appropriate(q, answers):
     """Packed form of is_appropriate: answer parity equals (weight/2) mod 2, elementwise."""
     return np.bitwise_count(answers) & 1 == np.bitwise_count(q) >> 1 & 1
+
+
+@dataclass(frozen=True)
+class OutputTable:
+    """Per-player output table: outputs[i-1] = (output on input 0, output on input 1).
+
+    Every output is one of SYMBOLS, where None stands for no output.  The
+    table packs into 2n base-len(SYMBOLS) digits, player 1 most significant,
+    each pair's input-0 output first: its `code`.
+    """
+
+    SYMBOLS: ClassVar[tuple[int | None, ...]] = (0, 1)
+    outputs: tuple[tuple[int | None, int | None], ...]
+
+    def __post_init__(self) -> None:
+        for pair in self.outputs:
+            if len(pair) != 2 or any(b not in self.SYMBOLS for b in pair):
+                raise ValueError(f"bad output pair {pair!r}")
+
+    @property
+    def n(self) -> int:
+        return len(self.outputs)
+
+    @classmethod
+    def from_code(cls, n: int, code: int):
+        """The table of n players whose code is `code`."""
+        base = len(cls.SYMBOLS)
+        if not 0 <= code < base ** (2 * n):
+            raise ValueError(f"code {code} out of range for n={n}")
+        digits = [cls.SYMBOLS[code // base**k % base] for k in reversed(range(2 * n))]
+        return cls(tuple(zip(digits[::2], digits[1::2])))
+
+    @property
+    def code(self) -> int:
+        c = 0
+        for out in itertools.chain.from_iterable(self.outputs):
+            c = c * len(self.SYMBOLS) + self.SYMBOLS.index(out)
+        return c
+
+    def answer(self, q: Question) -> Answer:
+        """The answer on a question, one lookup per player; no outputs become bot positions."""
+        if self.n != q.n:
+            raise ValueError(f"size mismatch: strategy n={self.n}, question n={q.n}")
+        bits = answer_bits(*output_masks(self.outputs), q.bits)
+        return Answer(q.n, bits, answer_bits(*output_masks(self.outputs, None), q.bits))
 
 
 class UsageError(ValueError):

@@ -21,8 +21,8 @@ import numpy as np
 from . import quantum
 from .classical import classical_bound, gaussian_product_table
 from .core import (
-    Answer,
     GameConfig,
+    OutputTable,
     Question,
     SizeLimit,
     answer_bits,
@@ -158,39 +158,10 @@ def _flip_masks(n: int, rows: int, model: BitFlipModel, rng: np.random.Generator
     return masks
 
 
-@dataclass(frozen=True)
-class ExtendedStrategy:
-    """Per-player output table over {0, 1, None}; None means no output."""
+class ExtendedStrategy(OutputTable):
+    """An output table over {0, 1, None}, None meaning no output: a base-9 digit per player."""
 
-    outputs: tuple[tuple[int | None, int | None], ...]
-
-    def __post_init__(self) -> None:
-        for pair in self.outputs:
-            if len(pair) != 2 or any(b not in (0, 1, None) for b in pair):
-                raise ValueError(f"bad extended output pair {pair!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.outputs)
-
-    @classmethod
-    def from_code(cls, n: int, code: int) -> "ExtendedStrategy":
-        """Unpack a base-9 table code; player 1's pair is the most significant digit."""
-        if not 0 <= code < 9**n:
-            raise ValueError(f"code {code} out of range for n={n}")
-        pairs = []
-        for _ in range(n):
-            code, k = divmod(code, 9)
-            pairs.append((EXTENDED_OUTPUTS[k // 3], EXTENDED_OUTPUTS[k % 3]))
-        return cls(tuple(reversed(pairs)))
-
-
-def extended_answer(strat: ExtendedStrategy, q: Question) -> Answer:
-    """Evaluate the table on a question; no-output entries become bot positions."""
-    if strat.n != q.n:
-        raise ValueError(f"size mismatch: strategy n={strat.n}, question n={q.n}")
-    bits = answer_bits(*output_masks(strat.outputs), q.bits)
-    return Answer(q.n, bits, answer_bits(*output_masks(strat.outputs, None), q.bits))
+    SYMBOLS = EXTENDED_OUTPUTS
 
 
 def is_error_free(strat: ExtendedStrategy, cfg: GameConfig) -> bool:

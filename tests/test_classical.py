@@ -10,7 +10,6 @@ from ghzgame.classical import (
     DeterministicStrategy,
     ProbabilisticStrategy,
     classical_bound,
-    eval_answer,
     exhaustive_best,
     is_balanced,
     optimal_set,
@@ -22,6 +21,7 @@ from ghzgame.classical import (
     win_count_table,
 )
 from ghzgame.core import GameConfig, Question, UsageError, legitimate_bits
+from ghzgame.noise import ExtendedStrategy
 
 
 def oracle_wins(outputs):
@@ -89,10 +89,24 @@ def all_players(pair, n):
     return DeterministicStrategy.from_strings([pair] * n)
 
 
-def test_code_roundtrip():
-    for code in range(64):
-        s = DeterministicStrategy.from_code(3, code)
-        assert s.code == code
+TABLES = pytest.mark.parametrize(
+    "table", [DeterministicStrategy, ExtendedStrategy], ids=lambda table: table.__name__
+)
+
+
+@TABLES
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_code_roundtrip(table, data):
+    n = data.draw(st.integers(1, 6), label="n")
+    code = data.draw(st.integers(0, len(table.SYMBOLS) ** (2 * n) - 1), label="code")
+    assert table.from_code(n, code).code == code
+
+
+@TABLES
+def test_every_code_roundtrips_at_n3(table):
+    codes = range(len(table.SYMBOLS) ** 6)
+    assert [table.from_code(3, code).code for code in codes] == list(codes)
 
 
 def test_code_order_is_lexicographic_on_pairs():
@@ -103,11 +117,11 @@ def test_code_order_is_lexicographic_on_pairs():
 def test_eval_answer_examples():
     n = 4
     always0 = all_players("00", n)
-    assert str(eval_answer(always0, Question.from_string("0110"))) == "0000"
+    assert str(always0.answer(Question.from_string("0110"))) == "0000"
     all11 = all_players("11", 3)
-    assert str(eval_answer(all11, Question.from_string("110"))) == "111"
+    assert str(all11.answer(Question.from_string("110"))) == "111"
     echo = all_players("01", 3)
-    assert str(eval_answer(echo, Question.from_string("011"))) == "011"
+    assert str(echo.answer(Question.from_string("011"))) == "011"
 
 
 def test_success_proportion_examples():
@@ -349,4 +363,4 @@ def test_pair_flip_swaps_question_pairs():
             x2 = Question(4, 0b1100 | tail)
             from ghzgame.core import is_appropriate
 
-            assert is_appropriate(x, eval_answer(s, x)) == is_appropriate(x2, eval_answer(s2, x2))
+            assert is_appropriate(x, s.answer(x)) == is_appropriate(x2, s2.answer(x2))

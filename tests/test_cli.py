@@ -610,6 +610,30 @@ def test_bound_prints_up_to_the_digit_limit(capsys):
     assert len(denominator) == sys.get_int_max_str_digits() == 4300
 
 
+@pytest.mark.parametrize("grid,points", [([], 0), (["--p", "0.9"], 1)])
+def test_noise_prints_up_to_the_digit_limit(capsys, grid, points):
+    code, report = run_json(capsys, "noise", "--n", "28568", *grid)
+    assert code == 0
+    exact = [r["classical_exact"] for r in report["records"] if r["kind"] == "bitflip"]
+    assert [len(e.split("/")[1]) for e in exact] == [4300] * points
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--n", "28569"],
+        ["noise", "--n", "28569"],
+        ["noise", "--n", "28569", "--p", "0.9", "--format", "json"],
+        ["noise", "--n", "3..28569", "--p", "0.9"],
+    ],
+)
+def test_bound_beyond_the_digit_limit_is_refused(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be <= 28568, whose bound has 4300 digits, got 28569\n"
+
+
 @pytest.mark.parametrize(
     "n,p", [(3, "0.89685026299204987868"), (4, "0.92044820762685726151"), (11, "0.86487002642036155896")]
 )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzgame.classical import DeterministicStrategy, eval_answer
+from ghzgame.classical import DeterministicStrategy
 from ghzgame.core import (
     Answer,
     GameConfig,
@@ -17,7 +17,7 @@ from ghzgame.core import (
     output_masks,
     target_parity,
 )
-from ghzgame.noise import ExtendedStrategy, extended_answer
+from ghzgame.noise import ExtendedStrategy
 
 
 def lookup_answer(outputs, q):
@@ -98,11 +98,11 @@ def test_answer_kernel_matches_per_player_lookup(args):
         got = zip(answer_bits(*ones, questions).tolist(), answer_bits(*bots, questions).tolist())
         assert list(got) == want
         assert [(answer_bits(*ones, q), answer_bits(*bots, q)) for q in questions.tolist()] == want
-    # the Question-level evaluators are built on the kernel
+    # the Question-level evaluator is built on the kernel
     for q in questions[:64].tolist():
-        got = extended_answer(ExtendedStrategy(extended), Question(n, q))
+        got = ExtendedStrategy(extended).answer(Question(n, q))
         assert (got.bits, got.bot_mask) == lookup_answer(extended, q)
-        got = eval_answer(DeterministicStrategy(deterministic), Question(n, q))
+        got = DeterministicStrategy(deterministic).answer(Question(n, q))
         assert (got.bits, got.bot_mask) == lookup_answer(deterministic, q)
 
 

@@ -24,7 +24,6 @@ from ghzgame.noise import (
     detection_win_prob,
     errorfree_exhaustive,
     errorfree_reference_strategy,
-    extended_answer,
     is_error_free,
     winnable_questions,
 )
@@ -422,9 +421,9 @@ def test_reference_strategy_wins_exactly_two(n):
 def test_reference_strategy_example_answers():
     cfg = GameConfig(4)
     strat = errorfree_reference_strategy(cfg)
-    assert str(extended_answer(strat, Question.from_string("0000"))) == "0000"
-    assert str(extended_answer(strat, Question.from_string("1100"))) == "0100"
-    a = extended_answer(strat, Question.from_string("1010"))
+    assert str(strat.answer(Question.from_string("0000"))) == "0000"
+    assert str(strat.answer(Question.from_string("1100"))) == "0100"
+    a = strat.answer(Question.from_string("1010"))
     assert a.has_bot  # third player declines, the round is a draw
 
 

@@ -1,5 +1,8 @@
-"""The README's command lines stay runnable: every one parses, and the quick ones run."""
+"""The README stays true to the code: every command line parses, the quick ones
+run, and every module-qualified name it cites exists."""
 
+import importlib
+import re
 import shlex
 from pathlib import Path
 
@@ -42,3 +45,23 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     for flag in ("--witnesses", "--out"):
         if flag in argv:
             assert (tmp_path / argv[argv.index(flag) + 1]).stat().st_size > 0
+
+
+def readme_names() -> list[str]:
+    """Every backticked dotted name the README cites from a module, e.g. `core.answer_bits`."""
+    text = README.read_text(encoding="utf-8")
+    return sorted(set(re.findall(r"`((?:core|classical|quantum|noise|cli)(?:\.\w+)+)", text)))
+
+
+def test_readme_cites_names_of_every_module():
+    modules = {name.split(".")[0] for name in readme_names()}
+    assert modules == {"core", "classical", "quantum", "noise", "cli"}
+
+
+@pytest.mark.parametrize("name", readme_names())
+def test_readme_name_exists(name):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"ghzgame.{module}")
+    for attr in attrs:
+        assert hasattr(obj, attr), f"README cites {name}, which does not exist"
+        obj = getattr(obj, attr)

@@ -1,6 +1,6 @@
 """Each size limit has one owner: a sweep's variable is named once, only `core`
-reads it, and the analytic limit and the int64 round limit are each refused in
-one place.
+reads it, and the analytic limit, the int64 round limit and the int-to-string
+digit limit are each refused in one place.
 
 The sources are read as text and parsed with `ast`, never imported, so a
 second copy of a limit's policy shows up here rather than as two refusals
@@ -47,3 +47,9 @@ def test_the_analytic_limit_is_refused_in_one_place():
 def test_the_int64_round_limit_is_refused_in_one_place():
     refusals = {name: text.count("is more than") for name, text in sources().items()}
     assert {name: count for name, count in refusals.items() if count} == {"quantum.py": 1}
+
+
+def test_the_digit_limit_is_refused_in_one_place():
+    refusals = {name: text.count("get_int_max_str_digits") for name, text in sources().items()}
+    assert {name: count for name, count in refusals.items() if count} == {"cli.py": 1}
+    assert sum(text.count("whose bound has") for text in sources().values()) == 1
