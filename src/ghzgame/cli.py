@@ -128,7 +128,7 @@ def cmd_bound(args) -> dict:
 def cmd_search(args) -> dict:
     n = _require_at_least(args.n, 3, "--n")
     record, codes, best_ok, table1_ok = _search_record(n)
-    if args.witnesses:
+    if args.witnesses is not None:
         _write_witness_csv(args.witnesses, codes, n)
     checks = [
         _check("exhaustive_max_equals_formula", best_ok),
@@ -227,13 +227,15 @@ def cmd_report(args) -> dict:
     checks.append(_check("bitflip_threshold_n5", abs(e5 - 0.879) <= 0.001))
     checks.append(_check("bitflip_threshold_limit", abs(e_limit - 0.85355) <= 0.0005))
 
-    est = _monte_carlo_record(3, 0.9, mc_trials, rng)
-    expected = noise.bitflip_win_prob(3, noise.BitFlipModel(0.9))
+    p = Fraction(9, 10)
+    est = _monte_carlo_record(3, p, mc_trials, rng)
+    expected = noise.bitflip_win_prob(3, float(p))
     fields = ("derivation", "n", "p", "trials", "estimate", "std_error")
     records.append(_section("bitflip", est, fields, closed_form=expected))
-    # within 5 standard deviations of the exact 189/250: a false alarm about 5.7 in 10^7 runs
-    deviation = 250 * est["wins"] - 189 * est["trials"]
-    checks.append(_check("bitflip_monte_carlo_n3", deviation**2 <= 25 * 189 * 61 * est["trials"]))
+    # within 5 standard deviations of the exact a/d: a false alarm about 5.7 in 10^7 runs
+    a, d = noise.bitflip_win_prob(3, p).as_integer_ratio()
+    deviation = d * est["wins"] - a * mc_trials
+    checks.append(_check("bitflip_monte_carlo_n3", deviation**2 <= 25 * a * (d - a) * mc_trials))
 
     # detection thresholds, the no-output sweep, and the reference table
     d3 = noise.detection_threshold(3)
@@ -319,7 +321,7 @@ def _quantum_records(n: int, trials: int, rng: np.random.Generator, dense: bool)
 
 
 def _monte_carlo_record(n: int, p, trials: int, rng: np.random.Generator) -> dict:
-    est = noise.bitflip_monte_carlo(n, noise.BitFlipModel(float(p)), trials, rng)
+    est = noise.bitflip_monte_carlo(n, float(p), trials, rng)
     return {
         "kind": "monte-carlo",
         "n": n,
@@ -353,9 +355,8 @@ def _section(name: str, record: dict, fields: tuple[str, ...], **extra) -> dict:
 
 
 def _reference_wins_expected(n: int) -> bool:
-    cfg = GameConfig(n)
-    strat = noise.errorfree_reference_strategy(cfg)
-    won = {q.bits for q in noise.winnable_questions(strat, cfg)}
+    strat = noise.errorfree_reference_strategy(GameConfig(n))
+    won = {q.bits for q in noise.winnable_questions(strat)}
     return won == {0, 0b11 << (n - 2)}
 
 
@@ -375,7 +376,7 @@ def _grid_report(command: str, args, model: noise.GridModel, n_values, grid, mor
         if rows:
             checks.append(_check(f"threshold_flags_consistent_n{n}", consistent))
         more(n, records, checks)
-    if args.csv:
+    if args.csv is not None:
         _write_grid_csv(args.csv, [r for r in records if r["kind"] == model.kind])
     return _report(command, args, records=records, checks=checks)
 
@@ -426,8 +427,9 @@ def _parse_grid(args, model: noise.GridModel, n_count: int) -> list[Fraction]:
     """
     text = getattr(args, model.param)
     if text is None:
-        for flag in ("csv", "trials"):  # they act on grid points; `detect` has no --trials
-            if getattr(args, flag, None):
+        # they act on grid points; `detect` has no --trials
+        for flag, unset in (("csv", None), ("trials", 0)):
+            if getattr(args, flag, unset) != unset:
                 raise UsageError(f"--{flag} needs a --{model.param} grid")
         return []
     parts = text.split(":") if ":" in text else [text, text, "1"]
@@ -489,7 +491,7 @@ def _read_config_file(actions: list[argparse.Action], argv: list[str]) -> None:
     for action in actions:
         pre.add_argument(*action.option_strings, nargs="?")
     known = pre.parse_known_args(argv)[0]
-    if known.help or not known.config:
+    if known.help or known.config is None:
         return
     try:
         with open(known.config, encoding="utf-8") as fh:
@@ -565,7 +567,7 @@ def _open_for_writing(path: str | None):
     """The file at `path` opened for writing, or stdout without a path, flushed
     or closed on leaving; a failure to open, write or flush it is a UsageError."""
     try:
-        if path:
+        if path is not None:
             with open(path, "w", newline="") as fh:
                 yield fh
         else:
@@ -579,7 +581,8 @@ def _open_for_writing(path: str | None):
                     sys.stdout.close()
                 raise
     except OSError as exc:
-        raise UsageError(f"cannot write {path or '<stdout>'!r}: {exc.strerror}") from None
+        where = "<stdout>" if path is None else path
+        raise UsageError(f"cannot write {where!r}: {exc.strerror}") from None
 
 
 def _write_grid_csv(path: str, records: list[dict]) -> None:

@@ -35,30 +35,6 @@ from .core import (
 EXTENDED_LIMIT = SizeLimit("no-output sweep", "GAME_EXTENDED_LIMIT", 5)
 #: a batch of geometric gaps covers the expected flips plus this many standard deviations
 GAP_SLACK = 5
-#: an extended output pair (a, b) has code 3*index(a) + index(b) in this tuple
-EXTENDED_OUTPUTS = (0, 1, None)
-
-
-@dataclass(frozen=True)
-class BitFlipModel:
-    """Each player outputs the predicted bit with probability p, its complement otherwise."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.p <= 1.0:
-            raise ValueError(f"reliability p must lie in [0.5, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
-class DetectionModel:
-    """Each player produces an output with probability eta, nothing otherwise."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency eta must lie in [0, 1], got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -76,13 +52,14 @@ class MonteCarloEstimate:
         return math.sqrt(e * (1.0 - e) / self.trials)
 
 
-def bitflip_win_prob(n: int, model: BitFlipModel) -> float:
-    """Win probability of the quantum strategy under independent bit flips.
+def bitflip_win_prob(n: int, p: Fraction | float) -> Fraction | float:
+    """Win probability of the quantum strategy when each player outputs the
+    predicted bit with probability p, its complement otherwise.
 
     The round is won exactly when an even number of players flip, which
-    collapses to 1/2 + (2p-1)^n / 2.
+    collapses to (1 + (2p-1)^n) / 2: exact for a Fraction p.
     """
-    return 0.5 + (2.0 * model.p - 1.0) ** n / 2.0
+    return (1 + (2 * p - 1) ** n) / 2
 
 
 def bitflip_threshold(n: int) -> float:
@@ -97,9 +74,10 @@ def bitflip_threshold(n: int) -> float:
     return 0.5 + 2.0 ** ((1 - math.ceil(n / 2)) / n - 1)
 
 
-def detection_win_prob(n: int, model: DetectionModel) -> float:
-    """Probability that every player produces an output (all-or-nothing round): eta^n."""
-    return model.eta**n
+def detection_win_prob(n: int, eta: Fraction | float) -> Fraction | float:
+    """Probability that every player, each producing an output with probability
+    eta, does so (all-or-nothing round): eta^n."""
+    return eta**n
 
 
 def detection_threshold(n: int) -> float:
@@ -109,23 +87,23 @@ def detection_threshold(n: int) -> float:
     return 4.0 ** (1.0 / n) / 2.0
 
 
-def bitflip_monte_carlo(
-    n: int, model: BitFlipModel, trials: int, rng: np.random.Generator
-) -> MonteCarloEstimate:
+def bitflip_monte_carlo(n: int, p: float, trials: int, rng: np.random.Generator) -> MonteCarloEstimate:
     """Sample noisy rounds: uniform legitimate question, perfect round, then flips.
 
     The perfect rounds come a chunk at a time from `quantum.sampled_rounds`;
     each chunk's answers are xored with the flips of `_flip_masks`, drawn
     right after it, and each noisy round is checked with `core.appropriate`.
     """
+    if not BITFLIP.least <= p <= 1:
+        raise ValueError(f"reliability p must lie in [{float(BITFLIP.least)}, 1], got {p}")
     wins = 0
     for questions, answers in quantum.sampled_rounds(n, trials, rng):
-        answers ^= _flip_masks(n, answers.size, model, rng)
+        answers ^= _flip_masks(n, answers.size, p, rng)
         wins += int(np.count_nonzero(appropriate(questions, answers)))
     return MonteCarloEstimate(wins, trials)
 
 
-def _flip_masks(n: int, rows: int, model: BitFlipModel, rng: np.random.Generator) -> np.ndarray:
+def _flip_masks(n: int, rows: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Packed flips of `rows` rounds, player 1 the most significant bit of each.
 
     Every output flips on its own with probability 1-p.  The rows * n cells
@@ -136,7 +114,7 @@ def _flip_masks(n: int, rows: int, model: BitFlipModel, rng: np.random.Generator
     batch for the cells left whenever one falls short.
     """
     masks = np.zeros(rows, dtype=np.uint64)
-    rate = 1.0 - model.p
+    rate = 1.0 - p
     if rate == 0.0:
         return masks
     cells = rows * n
@@ -161,23 +139,23 @@ def _flip_masks(n: int, rows: int, model: BitFlipModel, rng: np.random.Generator
 class ExtendedStrategy(OutputTable):
     """An output table over {0, 1, None}, None meaning no output: a base-9 digit per player."""
 
-    SYMBOLS = EXTENDED_OUTPUTS
+    SYMBOLS = (0, 1, None)
 
 
-def is_error_free(strat: ExtendedStrategy, cfg: GameConfig) -> bool:
+def is_error_free(strat: ExtendedStrategy) -> bool:
     """True when every legitimate question is either a draw or answered appropriately."""
-    return _evaluate_error_free(strat, cfg) is not None
+    return _evaluate_error_free(strat) is not None
 
 
-def winnable_questions(strat: ExtendedStrategy, cfg: GameConfig) -> list[Question]:
+def winnable_questions(strat: ExtendedStrategy) -> list[Question]:
     """The legitimate questions the table answers appropriately (no draws among them).
 
     Raises for tables that are not error-free; their win count is meaningless.
     """
-    won = _evaluate_error_free(strat, cfg)
+    won = _evaluate_error_free(strat)
     if won is None:
         raise ValueError("strategy is not error-free")
-    return [Question(cfg.n, x) for x in won]
+    return [Question(strat.n, x) for x in won]
 
 
 def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, np.ndarray]:
@@ -199,7 +177,7 @@ def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, np.ndarray]:
     """
     n = cfg.n
     EXTENDED_LIMIT.require(n)
-    sign = np.array([1, -1, 0], dtype=np.int16)  # of each entry of EXTENDED_OUTPUTS
+    sign = np.array([1, -1, 0], dtype=np.int16)  # of each entry of ExtendedStrategy.SYMBOLS
     s0, s1 = np.repeat(sign, 3), np.tile(sign, 3)  # per pair code
     a0, a1 = abs(s0), abs(s1)
     # every entry is at most 2^n in size: int16 holds it for any table that fits in memory
@@ -233,11 +211,11 @@ class GridModel:
 
     kind: str  # each grid record's kind
     param: str  # the grid value's key in each record: p or eta
-    least: Fraction  # the smallest grid value the model takes
+    least: Fraction  # the parameter's range is [least, 1]
     classical: Callable[[int], Fraction]  # the best classical win rate at n
     threshold: Callable[[int], float]  # grid values above it let noisy quantum play win
     quantum_wins: Callable[[int, int, int], bool]  # exactly, at n for the grid value a/b
-    win_prob: Callable[[int, float], float]  # the noisy quantum win probability at n
+    win_prob: Callable[[int, Fraction | float], Fraction | float]  # noisy quantum win rate at n
 
 
 BITFLIP = GridModel(
@@ -248,7 +226,7 @@ BITFLIP = GridModel(
     threshold=bitflip_threshold,
     # (2p-1)^n > 2^(1-ceil(n/2)), both sides times b^n 2^(ceil(n/2)-1)
     quantum_wins=lambda n, a, b: ((2 * a - b) ** n << (n + 1) // 2 - 1) > b**n,
-    win_prob=lambda n, p: bitflip_win_prob(n, BitFlipModel(p)),
+    win_prob=bitflip_win_prob,
 )
 DETECTION = GridModel(
     "detection",
@@ -257,7 +235,7 @@ DETECTION = GridModel(
     classical=lambda n: Fraction(2, 1 << (n - 1)),  # the no-output sweep's 2 questions won
     threshold=detection_threshold,
     quantum_wins=lambda n, a, b: (a**n << n - 2) > b**n,  # eta^n > 2^(2-n), times b^n 2^(n-2)
-    win_prob=lambda n, eta: detection_win_prob(n, DetectionModel(eta)),
+    win_prob=detection_win_prob,
 )
 
 
@@ -291,11 +269,9 @@ def compare_report(n: int, model: GridModel, grid: list[Fraction | float]) -> li
     return records
 
 
-def _evaluate_error_free(strat: ExtendedStrategy, cfg: GameConfig) -> list[int] | None:
+def _evaluate_error_free(strat: ExtendedStrategy) -> list[int] | None:
     """Won question bits if the table is error-free, else None."""
-    if strat.n != cfg.n:
-        raise ValueError(f"size mismatch: strategy n={strat.n}, config n={cfg.n}")
-    q = legitimate_bits(cfg.n)
+    q = legitimate_bits(strat.n)
     decided = answer_bits(*output_masks(strat.outputs, None), q) == 0
     right = appropriate(q, answer_bits(*output_masks(strat.outputs), q))
     if np.any(decided & ~right):

@@ -104,7 +104,7 @@ def test_criterion_6_bitflip_model():
     for n in range(3, 31):
         for k in range(50, 101):
             p = k / 100
-            closed = noise.bitflip_win_prob(n, noise.BitFlipModel(p))
+            closed = noise.bitflip_win_prob(n, p)
             oracle = sum(
                 math.comb(n, i) * p ** (n - i) * (1 - p) ** i for i in range(0, n + 1, 2)
             )
@@ -112,7 +112,7 @@ def test_criterion_6_bitflip_model():
     assert abs(noise.bitflip_threshold(3) - 0.897) <= 0.001
     assert abs(noise.bitflip_threshold(5) - 0.879) <= 0.001
     assert abs(noise.bitflip_threshold(10**4) - 0.85355) <= 0.0005
-    est = noise.bitflip_monte_carlo(3, noise.BitFlipModel(0.9), 10**6, np.random.default_rng(42))
+    est = noise.bitflip_monte_carlo(3, 0.9, 10**6, np.random.default_rng(42))
     assert abs(est.estimate - 0.756) <= 4 * est.std_error
     report(
         "6 bit-flip model: PASS (oracle match n<=30, thresholds 0.897/0.879/limit, "
@@ -129,7 +129,7 @@ def test_criterion_7_detection_model():
     assert sweep_time < 60.0, f"9^n sweeps took {sweep_time:.1f}s"
     for n in range(3, 17):
         cfg = GameConfig(n)
-        won = {q.bits for q in noise.winnable_questions(noise.errorfree_reference_strategy(cfg), cfg)}
+        won = {q.bits for q in noise.winnable_questions(noise.errorfree_reference_strategy(cfg))}
         assert won == {0, 0b11 << (n - 2)}, n
     for n in range(3, 21):
         thr = noise.detection_threshold(n)

@@ -343,8 +343,8 @@ def test_report_monte_carlo_check_catches_a_biased_estimate(capsys, monkeypatch)
     # p = 0.89 wins with probability 0.737, against 0.756 at the reported p = 0.9
     unbiased = noise.bitflip_monte_carlo
 
-    def biased(n, model, trials, rng):
-        return unbiased(n, noise.BitFlipModel(0.89), trials, rng)
+    def biased(n, p, trials, rng):
+        return unbiased(n, 0.89, trials, rng)
 
     monkeypatch.setattr(noise, "bitflip_monte_carlo", biased)
     code, report = run_json(capsys, "report")
@@ -572,6 +572,28 @@ def test_grid_limit_counts_points_over_every_n(capsys, monkeypatch):
 def test_bad_counts_and_values_end_in_one_line(capsys, argv):
     assert main(argv) == 1
     assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["search", "--n", "3", "--witnesses", ""], "cannot write ''"),
+        (["noise", "--n", "3", "--p", "0.9", "--csv", ""], "cannot write ''"),
+        (["detect", "--n", "3", "--eta", "0.9", "--csv", ""], "cannot write ''"),
+        (["bound", "--n", "3", "--out", ""], "cannot write ''"),
+        (["bound", "--n", "3", "--config", ""], "cannot read config file ''"),
+        (["noise", "--n", "3", "--csv", ""], "--csv needs a --p grid"),
+    ],
+    ids=["search-witnesses", "noise-csv", "detect-csv", "bound-out", "bound-config", "noise-no-grid"],
+)
+def test_an_empty_path_is_refused(capsys, monkeypatch, tmp_path, argv, message):
+    # an empty path names no file: it is refused, not read as "no path given"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

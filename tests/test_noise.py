@@ -13,8 +13,6 @@ from ghzgame.classical import classical_bound
 from ghzgame.core import GameConfig, Question, UsageError, legitimate_bits
 from ghzgame.noise import (
     GAP_SLACK,
-    BitFlipModel,
-    DetectionModel,
     ExtendedStrategy,
     bitflip_monte_carlo,
     bitflip_threshold,
@@ -134,27 +132,59 @@ def itertools_errorfree_sweep(n):
     return best, witnesses
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        BitFlipModel(0.4)
-    with pytest.raises(ValueError):
-        DetectionModel(1.5)
-    BitFlipModel(0.5)
-    DetectionModel(0.0)
+def test_model_validation(capsys):
+    # each range is [model.least, 1]: the one sampler refuses a p outside it,
+    # and the command line a grid value outside it
+    with pytest.raises(ValueError, match=r"reliability p must lie in \[0\.5, 1\], got 0\.4"):
+        bitflip_monte_carlo(3, 0.4, 10, np.random.default_rng(0))
+    bitflip_monte_carlo(3, 0.5, 10, np.random.default_rng(0))
+    assert (noise.BITFLIP.least, noise.DETECTION.least) == (Fraction(1, 2), 0)
+    assert cli.main(["detect", "--n", "3", "--eta", "1.5"]) == 1
+    assert capsys.readouterr().err == "error: --eta grid '1.5' leaves [0.0, 1]\n"
+    assert cli.main(["detect", "--n", "3", "--eta", "0"]) == 0
+
+
+def test_grid_models_hold_the_closed_forms():
+    assert noise.BITFLIP.win_prob is bitflip_win_prob
+    assert noise.DETECTION.win_prob is detection_win_prob
+
+
+def test_bitflip_win_prob_is_exact_on_fractions():
+    assert bitflip_win_prob(3, Fraction(9, 10)) == Fraction(189, 250)
+    assert detection_win_prob(3, Fraction(4, 5)) == Fraction(64, 125)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(3, 62), st.floats(0.5, 1.0))
+def test_bitflip_win_prob_keeps_the_float_formula(n, p):
+    # (1 + y) / 2 and 1/2 + y / 2 round alike: halving a float is exact
+    assert bitflip_win_prob(n, p) == 0.5 + (2.0 * p - 1.0) ** n / 2.0
+
+
+@pytest.mark.parametrize("model", [noise.BITFLIP, noise.DETECTION], ids=lambda m: m.kind)
+def test_exact_flag_matches_the_exact_closed_form(model):
+    # no float in between: the flag on a/b is the closed form on the Fraction a/b,
+    # at every point of least:1:0.001
+    grid = [model.least + Fraction(k, 1000) for k in range(int((1 - model.least) * 1000) + 1)]
+    for n in range(3, 13):
+        classical = model.classical(n)
+        for x in grid:
+            want = model.win_prob(n, x) > classical
+            assert model.quantum_wins(n, *x.as_integer_ratio()) == want, (n, x)
 
 
 def test_bitflip_win_prob_endpoints():
     for n in (3, 7, 12):
-        assert bitflip_win_prob(n, BitFlipModel(1.0)) == pytest.approx(1.0)
-        assert bitflip_win_prob(n, BitFlipModel(0.5)) == pytest.approx(0.5)
-    assert bitflip_win_prob(3, BitFlipModel(0.9)) == pytest.approx(0.756, abs=1e-12)
+        assert bitflip_win_prob(n, 1.0) == pytest.approx(1.0)
+        assert bitflip_win_prob(n, 0.5) == pytest.approx(0.5)
+    assert bitflip_win_prob(3, 0.9) == pytest.approx(0.756, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(3, 31))
 def test_closed_form_matches_binomial_oracle(n):
     for k in range(50, 101):
         p = k / 100
-        assert bitflip_win_prob(n, BitFlipModel(p)) == pytest.approx(
+        assert bitflip_win_prob(n, p) == pytest.approx(
             binomial_even_error_sum(n, p), abs=1e-12
         )
 
@@ -186,13 +216,13 @@ def test_threshold_separates_quantum_from_classical(n):
     bound = classical_bound(n)
     for k in range(50, 101):
         p = k / 100
-        quantum = bitflip_win_prob(n, BitFlipModel(p))
+        quantum = bitflip_win_prob(n, p)
         assert (p > e) == (quantum > bound)
 
 
 def test_monte_carlo_perfect_apparatus():
     rng = np.random.default_rng(1)
-    est = bitflip_monte_carlo(4, BitFlipModel(1.0), 5000, rng)
+    est = bitflip_monte_carlo(4, 1.0, 5000, rng)
     assert est.estimate == 1.0
     assert est.std_error == 0.0
 
@@ -200,8 +230,8 @@ def test_monte_carlo_perfect_apparatus():
 @pytest.mark.parametrize("n,p", [(3, 0.9), (5, 0.85)])
 def test_monte_carlo_matches_closed_form(n, p):
     rng = np.random.default_rng(42)
-    est = bitflip_monte_carlo(n, BitFlipModel(p), 200000, rng)
-    want = bitflip_win_prob(n, BitFlipModel(p))
+    est = bitflip_monte_carlo(n, p, 200000, rng)
+    want = bitflip_win_prob(n, p)
     assert abs(est.estimate - want) <= 4 * est.std_error
 
 
@@ -223,7 +253,7 @@ def test_monte_carlo_draws_like_the_int64_oracle(monkeypatch, n, p, trials, chun
     # a small chunk splits the question, answer and flip draws across many calls
     monkeypatch.setattr(quantum, "ANALYTIC_CHUNK", chunk)
     ours, oracle = np.random.default_rng(trials), np.random.default_rng(trials)
-    est = bitflip_monte_carlo(n, BitFlipModel(p), trials, ours)
+    est = bitflip_monte_carlo(n, p, trials, ours)
     assert est.wins == int64_monte_carlo_wins(n, p, trials, chunk, oracle)
     assert ours.random() == oracle.random()
 
@@ -236,7 +266,7 @@ def test_flip_masks_set_the_bits_of_the_oracle_cells(n, rows, p):
         for cell in flipped_cells(n * rows, 1.0 - p, oracle):
             player, row = divmod(cell, rows)
             want[row] |= 1 << (n - 1 - player)
-        assert noise._flip_masks(n, rows, BitFlipModel(p), ours).tolist() == want
+        assert noise._flip_masks(n, rows, p, ours).tolist() == want
     assert ours.random() == oracle.random()
 
 
@@ -251,7 +281,7 @@ def sampled_flips(monkeypatch, n, p, trials, chunk):
 
     flip_masks = noise._flip_masks
     monkeypatch.setattr(noise, "_flip_masks", record)
-    est = bitflip_monte_carlo(n, BitFlipModel(p), trials, np.random.default_rng(n * 1000 + trials))
+    est = bitflip_monte_carlo(n, p, trials, np.random.default_rng(n * 1000 + trials))
     masks = np.concatenate(drawn)
     assert masks.size == trials
     # bit column j is player j + 1's flips, one row per round
@@ -318,25 +348,25 @@ def test_perfect_check_and_noiseless_monte_carlo_draw_the_same_rounds(monkeypatc
     assert quantum.analytic_check(20, 50, checked) == ("sampled-questions", 50, 50)
     check_sizes = sizes.copy()
     sizes.clear()
-    assert bitflip_monte_carlo(20, BitFlipModel(1.0), 50, sampled).wins == 50
+    assert bitflip_monte_carlo(20, 1.0, 50, sampled).wins == 50
     assert check_sizes == sizes == [7, 7] * 7 + [1, 1]
     assert checked.random() == sampled.random()
 
 
 def test_monte_carlo_refuses_beyond_the_analytic_limit():
     with pytest.raises(ValueError):
-        bitflip_monte_carlo(63, BitFlipModel(0.9), 10, np.random.default_rng(0))
+        bitflip_monte_carlo(63, 0.9, 10, np.random.default_rng(0))
 
 
 def test_monte_carlo_is_seed_deterministic():
-    a = bitflip_monte_carlo(3, BitFlipModel(0.9), 10000, np.random.default_rng(9))
-    b = bitflip_monte_carlo(3, BitFlipModel(0.9), 10000, np.random.default_rng(9))
+    a = bitflip_monte_carlo(3, 0.9, 10000, np.random.default_rng(9))
+    b = bitflip_monte_carlo(3, 0.9, 10000, np.random.default_rng(9))
     assert a == b
 
 
 def test_detection_win_prob():
-    assert detection_win_prob(3, DetectionModel(1.0)) == 1.0
-    assert detection_win_prob(3, DetectionModel(0.8)) == pytest.approx(0.512)
+    assert detection_win_prob(3, 1.0) == 1.0
+    assert detection_win_prob(3, 0.8) == pytest.approx(0.512)
 
 
 def test_detection_threshold_values():
@@ -361,8 +391,8 @@ def test_errorfree_exhaustive_n3():
     assert witnesses.size > 0
     for c in witnesses[:10]:
         w = ExtendedStrategy.from_code(3, int(c))
-        assert is_error_free(w, GameConfig(3))
-        assert len(winnable_questions(w, GameConfig(3))) == 2
+        assert is_error_free(w)
+        assert len(winnable_questions(w)) == 2
 
 
 def test_errorfree_exhaustive_n4():
@@ -414,7 +444,7 @@ def test_reference_strategy_structure():
 def test_reference_strategy_wins_exactly_two(n):
     cfg = GameConfig(n)
     strat = errorfree_reference_strategy(cfg)
-    won = {q.bits for q in winnable_questions(strat, cfg)}
+    won = {q.bits for q in winnable_questions(strat)}
     assert won == {0, 0b11 << (n - 2)}
 
 
@@ -436,23 +466,23 @@ def test_error_free_evaluation_matches_player_lookup(outputs):
     strat = ExtendedStrategy(tuple(outputs))
     cfg = GameConfig(len(outputs))
     want = lookup_error_free(strat, cfg.n)
-    assert is_error_free(strat, cfg) == (want is not None)
+    assert is_error_free(strat) == (want is not None)
     if want is not None:
-        assert [q.bits for q in winnable_questions(strat, cfg)] == want
+        assert [q.bits for q in winnable_questions(strat)] == want
 
 
 def test_non_errorfree_table_is_rejected():
     # all players always output 0: inappropriate on weight-2 questions
     table = ExtendedStrategy(((0, 0),) * 3)
-    assert not is_error_free(table, GameConfig(3))
+    assert not is_error_free(table)
     with pytest.raises(ValueError):
-        winnable_questions(table, GameConfig(3))
+        winnable_questions(table)
 
 
 def test_all_bot_player_wins_nothing():
     table = ExtendedStrategy((((None, None)),) + ((0, 0),) * 2)
-    assert is_error_free(table, GameConfig(3))
-    assert winnable_questions(table, GameConfig(3)) == []
+    assert is_error_free(table)
+    assert winnable_questions(table) == []
 
 
 def test_compare_report_flags():
