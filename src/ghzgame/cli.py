@@ -307,16 +307,18 @@ def _quantum_records(n: int, trials: int, rng: np.random.Generator, dense: bool)
         }
     ]
     if dense:
-        ok, questions_checked = quantum.dense_check(n, rng)
+        mismatch, questions_checked = quantum.dense_check(n, rng)
         records.append(
             {
                 "n": n,
                 "derivation": "exhaustive",
                 "mode": "dense",
                 "questions_checked": questions_checked,
-                "consistent": ok,
+                "consistent": mismatch is None,
             }
         )
+        if mismatch is not None:
+            records[-1]["first_mismatch"] = str(mismatch)
     return records
 
 

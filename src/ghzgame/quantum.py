@@ -59,12 +59,17 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 class DenseWork:
-    """Every buffer of 2^n entries that one dense question needs.
+    """Every buffer of 2^n entries that one dense question needs, and its plan.
 
     A check of many questions allocates one and passes it to each call, so
     its pages are mapped once and not once per question.  The state that
     `question_state_dense` or `apply_hadamards_dense` returns lives in the
     workspace and stays valid until its next use.
+
+    The Hadamard layers are planned here, from HADAMARD_LAYER and
+    HADAMARD_PRODUCT as they read when the workspace is built: each is a
+    Sylvester matrix and the input and output views of one matrix product,
+    over the real plane alone and over both planes.
     """
 
     def __init__(self, n: int):
@@ -72,11 +77,26 @@ class DenseWork:
         size = 1 << n
         self.n = n
         self.state = np.empty(size, dtype=np.complex128)
-        self.phase = np.empty(size, dtype=np.complex128)
         self.index = np.empty(size, dtype=np.intp)
         self.probs = np.empty(size)
         #: real and imaginary parts, twice: a Hadamard layer's input and output
         self.planes = np.empty((2, 2, size))
+        powers = _I_POWERS[np.arange(n + 1) % 4]
+        #: real and imaginary parts of i^k, k = 0..n: the phase of k input-1 qubits
+        self.powers = np.array([powers.real, powers.imag])
+        both = []
+        for layer, k in enumerate(_layer_widths(n)):
+            src, dst = self.planes[layer % 2], self.planes[1 - layer % 2]
+            rest = size >> k
+            # the longest power-of-two block whose product keeps within the cap
+            block = min(rest, 1 << max(0, HADAMARD_PRODUCT.bit_length() - 1 - 2 * k))
+            lowest_last = src.reshape(2, rest // block, block, 1 << k).transpose(0, 1, 3, 2)
+            lowest_first = dst.reshape(2, 1 << k, rest // block, block).transpose(0, 2, 1, 3)
+            both.append((_sylvester(k), lowest_last, lowest_first))
+        #: the layers of the real plane alone, then of both planes
+        self.layers = ([(h, a[:1], b[:1]) for h, a, b in both], both)
+        #: the planes that hold the transform after the last layer
+        self.out = self.planes[len(both) % 2]
 
 
 def ghz_state(cfg: GameConfig, sign: int = +1) -> np.ndarray:
@@ -100,33 +120,23 @@ def apply_hadamards_dense(state: np.ndarray, work: DenseWork | None = None) -> n
     """Hadamard on every qubit (normalized Walsh-Hadamard transform).
 
     H^(x)n runs as layers of H^(x)k, k <= HADAMARD_LAYER.  A layer is a
-    matrix product on the lowest k qubits of the real and imaginary parts,
-    written out transposed so that those k qubits become the highest.  The
-    layers cover n qubits in all, so after the last one every qubit is back
-    in its place.  Two float buffers take turns as input and output.  A
-    layer larger than HADAMARD_PRODUCT multiply-adds runs as several
-    products, over blocks of the other qubits.
+    matrix product on the lowest k qubits of the real plane, and of the
+    imaginary plane when `state` is complex, written out transposed so that
+    those k qubits become the highest.  The layers cover n qubits in all,
+    so after the last one every qubit is back in its place.  Two buffers of
+    planes take turns as input and output.  A layer larger than
+    HADAMARD_PRODUCT multiply-adds runs as several products, over blocks of
+    the other qubits.
 
     The result is written to `work.state` (`state` itself may be that
     buffer); without a workspace, a fresh one is made.
     """
-    n = _num_qubits(state)
-    work = _workspace(n, work)
-    src, dst = work.planes
-    src[0] = state.real
-    src[1] = state.imag
-    for k in _layer_widths(n):
-        rest = state.size >> k
-        # the longest power-of-two block whose product keeps within the cap
-        block = min(rest, 1 << max(0, HADAMARD_PRODUCT.bit_length() - 1 - 2 * k))
-        lowest_last = src.reshape(2, rest // block, block, 1 << k).transpose(0, 1, 3, 2)
-        lowest_first = dst.reshape(2, 1 << k, rest // block, block).transpose(0, 2, 1, 3)
-        np.matmul(_sylvester(k), lowest_last, out=lowest_first)
-        src, dst = dst, src
-    out = work.state
-    out.real = src[0]
-    out.imag = src[1]
-    return out
+    work = _workspace(_num_qubits(state), work)
+    imaginary = np.iscomplexobj(state)
+    np.copyto(work.planes[0, 0], state.real)
+    if imaginary:
+        np.copyto(work.planes[0, 1], state.imag)
+    return _planes_to_state(work, _transform(work, imaginary))
 
 
 def apply_inputs_analytic(q: Question) -> int:
@@ -149,11 +159,7 @@ def question_state_dense(q: Question, work: DenseWork | None = None) -> np.ndarr
     is built in `work` (a fresh workspace without one).
     """
     work = _workspace(q.n, work)
-    state = _fill_ghz(work.state, +1)
-    exponent = np.bitwise_and(_basis(q.n), q.bits, out=work.index)
-    np.bitwise_count(exponent, out=exponent)
-    state *= np.take(_I_POWERS, exponent, mode="wrap", out=work.phase)
-    return apply_hadamards_dense(state, work)
+    return _planes_to_state(work, _question_planes(q, work))
 
 
 def sample_parity_class(n: int, parity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -274,20 +280,22 @@ def dense_matches_analytic(q: Question, work: DenseWork | None = None) -> bool:
     Runs in `work` (a fresh workspace without one).
     """
     work = _workspace(q.n, work)
-    state = question_state_dense(q, work)
-    want = _flat_on_class(q.n)[int(apply_inputs_analytic(q) < 0)]
-    probs = np.abs(state, out=work.probs)
-    probs *= probs
-    probs -= want
+    imaginary = _question_planes(q, work)
+    real, imag = work.out
+    probs = np.multiply(real, real, out=work.probs)
+    if imaginary:
+        probs += np.square(imag, out=imag)  # in place: the check hands out no state
+    probs -= _flat_on_class(q.n)[int(apply_inputs_analytic(q) < 0)]
     return bool(np.abs(probs, out=probs).max() <= NORM_TOL)
 
 
-def dense_check(n: int, rng: np.random.Generator) -> tuple[bool, int]:
+def dense_check(n: int, rng: np.random.Generator) -> tuple[Question | None, int]:
     """Dense pipeline agrees with phase tracking: one parity class, flat weights.
 
     Checks every legitimate question up to DENSE_ALL_QUESTIONS players, and
     DENSE_SAMPLED_QUESTIONS drawn ones beyond, all in one workspace.
-    Returns whether all agree and how many questions were checked.
+    Returns the first question that disagrees (None when all agree) and how
+    many questions were checked.
     """
     if n <= DENSE_ALL_QUESTIONS:
         questions = legitimate_bits(n)
@@ -295,8 +303,8 @@ def dense_check(n: int, rng: np.random.Generator) -> tuple[bool, int]:
         parity = np.zeros(DENSE_SAMPLED_QUESTIONS, dtype=np.uint8)
         questions = sample_parity_class(n, parity, rng)
     work = DenseWork(n)
-    ok = all(dense_matches_analytic(Question(n, q), work) for q in questions.tolist())
-    return ok, questions.size
+    checked = (Question(n, q) for q in questions.tolist())
+    return next((q for q in checked if not dense_matches_analytic(q, work)), None), questions.size
 
 
 def _workspace(n: int, work: DenseWork | None) -> DenseWork:
@@ -315,6 +323,37 @@ def _fill_ghz(state: np.ndarray, sign: int) -> np.ndarray:
     state[0] = amp
     state[-1] = sign * amp
     return state
+
+
+def _question_planes(q: Question, work: DenseWork) -> bool:
+    """The question's state in `work.out`; whether its imaginary plane was transformed.
+
+    The GHZ state times the phase diagonal is written straight into the
+    input planes.  H is real, so a plane that is exactly zero stays zero and
+    is not transformed; the data decides that, never the question.
+    """
+    exponent = np.bitwise_and(_basis(q.n), q.bits, out=work.index)
+    np.bitwise_count(exponent, out=exponent)
+    # the output planes are free until the first layer, so the GHZ state waits there
+    ghz = _fill_ghz(work.planes[1, 0], +1)
+    # an exponent never exceeds n, so "clip" clips nothing and spares "raise"'s copy
+    for plane, power in zip(work.planes[0], work.powers):
+        np.multiply(np.take(power, exponent, mode="clip", out=plane), ghz, out=plane)
+    return _transform(work, bool(work.planes[0, 1].any()))
+
+
+def _transform(work: DenseWork, imaginary: bool) -> bool:
+    """Run the planned layers on the real plane, and on the imaginary one if asked."""
+    for h, lowest_last, lowest_first in work.layers[imaginary]:
+        np.matmul(h, lowest_last, out=lowest_first)
+    return imaginary
+
+
+def _planes_to_state(work: DenseWork, imaginary: bool) -> np.ndarray:
+    """The transformed planes as the complex `work.state`; a plane left out is zero."""
+    work.state.real = work.out[0]
+    work.state.imag = work.out[1] if imaginary else 0.0
+    return work.state
 
 
 @lru_cache(maxsize=4)

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import ghzgame
-from ghzgame import classical, noise
+from ghzgame import classical, noise, quantum
 from ghzgame.classical import DeterministicStrategy
-from ghzgame.core import GameConfig
+from ghzgame.core import GameConfig, legitimate_bits
 from ghzgame.cli import main
 
 
@@ -106,6 +106,18 @@ def test_quantum_command(capsys):
     assert analytic["win_rate"] == 1.0
     dense = report["records"][1]
     assert dense["consistent"] is True
+    assert "first_mismatch" not in dense
+
+
+def test_dense_check_names_the_first_mismatch(capsys, monkeypatch):
+    # a wrong sign rule puts every question of weight 2 mod 4 on the wrong class
+    monkeypatch.setattr(quantum, "apply_inputs_analytic", lambda q: +1)
+    code, report = run_json(capsys, "quantum", "--n", "6", "--trials", "1", "--dense-check")
+    assert code == 2
+    first = next(q for q in legitimate_bits(6).tolist() if q.bit_count() % 4 == 2)
+    dense = report["records"][1]
+    assert (dense["consistent"], dense["first_mismatch"]) == (False, format(first, "06b"))
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["dense_matches_analytic"]
 
 
 def test_quantum_large_n_sampled(capsys):

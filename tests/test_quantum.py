@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,10 +254,20 @@ def test_seed_determinism():
     assert a == b
 
 
-def test_dense_check_fails_on_the_wrong_class(monkeypatch):
-    q = Question.from_string("1100")
-    monkeypatch.setattr(quantum, "apply_inputs_analytic", lambda q: +1)
-    assert not dense_matches_analytic(q)
+@pytest.mark.parametrize("n", [*range(3, 13), 15, 20])
+def test_dense_check_fails_on_the_wrong_class(monkeypatch, n):
+    # the two classes differ by 2^(1-n) per entry, so at n = 20 this fails any
+    # NORM_TOL from 2^-19 up; every question is planted up to DENSE_ALL_QUESTIONS
+    # and one sampled question beyond
+    right = quantum.apply_inputs_analytic
+    monkeypatch.setattr(quantum, "apply_inputs_analytic", lambda q: -right(q))
+    if n <= quantum.DENSE_ALL_QUESTIONS:
+        questions = legitimate_bits(n)
+    else:
+        even = np.zeros(1, dtype=np.uint8)
+        questions = quantum.sample_parity_class(n, even, np.random.default_rng(n))
+    work = quantum.DenseWork(n)
+    assert not any(dense_matches_analytic(Question(n, q), work) for q in questions.tolist())
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -318,19 +329,65 @@ def test_hadamards_in_small_products_match_butterfly_oracle(monkeypatch, n, prod
     np.testing.assert_allclose(question_state_dense(q), gate_by_gate_oracle(q), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 14))
+def test_hadamards_in_one_workspace_match_butterfly_oracle(n):
+    # real, complex with one imaginary entry, real again: a stale imaginary
+    # plane or a live one left out shows as a mismatch
+    rng = np.random.default_rng(300 + n)
+    one_imaginary = rng.normal(size=1 << n).astype(np.complex128)
+    one_imaginary[rng.integers(1 << n)] += 1j
+    work = quantum.DenseWork(n)
+    for v in (rng.normal(size=1 << n), one_imaginary, rng.normal(size=1 << n), one_imaginary):
+        np.testing.assert_allclose(apply_hadamards_dense(v, work), butterfly_oracle(v), atol=1e-12)
+    if n >= 3:
+        q = Question(n, 0b11 << (n - 2))
+        want = gate_by_gate_oracle(q)
+        np.testing.assert_allclose(question_state_dense(q, work), want, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [12, 15])
 def test_matrix_products_stay_within_the_cap(monkeypatch, n):
-    sizes = []
+    products = []
     matmul = np.matmul
 
     def spy(a, b, *args, **kwargs):
-        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        # (multiply-adds of one product, planes in the operand)
+        products.append((a.shape[-2] * a.shape[-1] * b.shape[-1], b.shape[0]))
         return matmul(a, b, *args, **kwargs)
 
+    def planes_per_product(call):
+        products.clear()
+        result = call()
+        assert len(products) == -(-n // quantum.HADAMARD_LAYER)
+        assert max(size for size, _ in products) <= quantum.HADAMARD_PRODUCT
+        return result, {planes for _, planes in products}
+
+    q = Question(n, 0b11 << (n - 2))
+    state = np.random.default_rng(n).normal(size=(2, 1 << n)).T @ [1, 1j]
     monkeypatch.setattr(np, "matmul", spy)
-    assert dense_matches_analytic(Question(n, 0b1111 << (n - 4)))
-    assert len(sizes) == -(-n // quantum.HADAMARD_LAYER)
-    assert max(sizes) <= quantum.HADAMARD_PRODUCT
+    # a legitimate question's imaginary plane is exactly zero, so it is not transformed
+    assert planes_per_product(lambda: dense_matches_analytic(q)) == (True, {1})
+    assert planes_per_product(lambda: apply_hadamards_dense(state))[1] == {2}
+    # a faulty phase table (i^2 read as i) leaves imaginary amplitude on |1..1>
+    monkeypatch.setattr(quantum, "_I_POWERS", np.array([1, 1j, 1j, -1j]))
+    assert planes_per_product(lambda: dense_matches_analytic(q)) == (False, {2})
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_a_warm_workspace_allocates_less_than_a_plane(n):
+    work = quantum.DenseWork(n)
+    q = Question(n, 0b11 << (n - 2))
+    state = np.random.default_rng(n).normal(size=(2, 1 << n)).T @ [1, 1j]
+    calls = (lambda: dense_matches_analytic(q, work), lambda: apply_hadamards_dense(state, work))
+    for call in calls:
+        call()  # fills the per-n caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np.dtype(np.float64).itemsize << n
 
 
 @settings(max_examples=60, deadline=None)
