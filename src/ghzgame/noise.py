@@ -161,6 +161,19 @@ def winnable_questions(strat: ExtendedStrategy) -> list[Question]:
 def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, np.ndarray]:
     """Sweep all 9^n extended tables and maximize wins among error-free ones.
 
+    Returns the best win count and the codes of every table attaining it,
+    ascending (see `ExtendedStrategy.from_code`).
+    """
+    n = cfg.n
+    EXTENDED_LIMIT.require(n)
+    wins = errorfree_win_table(n)
+    best = int(wins.max())
+    return best, np.flatnonzero(wins == best)
+
+
+def errorfree_win_table(n: int) -> np.ndarray:
+    """wins[code] over all 9^n extended table codes; -1 for a table that is not error-free.
+
     Let s_j be the sign of a player's output on input j (+1 for 0, -1 for 1,
     0 for no output) and a_j = |s_j|.  Over the legitimate questions a table
     then has, with products over the players,
@@ -171,21 +184,15 @@ def errorfree_exhaustive(cfg: GameConfig) -> tuple[int, np.ndarray]:
     Each product is a Kronecker power of a 9-vector over the pair codes, so
     all 9^n tables are scored at once; a table is error-free exactly when the
     two counts agree.
-
-    Returns the best win count and the codes of every table attaining it,
-    ascending (see `ExtendedStrategy.from_code`).
     """
-    n = cfg.n
-    EXTENDED_LIMIT.require(n)
     sign = np.array([1, -1, 0], dtype=np.int16)  # of each entry of ExtendedStrategy.SYMBOLS
     s0, s1 = np.repeat(sign, 3), np.tile(sign, 3)  # per pair code
     a0, a1 = abs(s0), abs(s1)
     # every entry is at most 2^n in size: int16 holds it for any table that fits in memory
-    wins_minus_losses = gaussian_product_table(s0, s1, n, np.int16)
+    wins = gaussian_product_table(s0, s1, n, np.int16)
     decided = (_kron_power(a0 + a1, n) + _kron_power(a0 - a1, n)) // 2
-    error_free = wins_minus_losses == decided
-    best = int(wins_minus_losses[error_free].max())
-    return best, np.flatnonzero(error_free & (wins_minus_losses == best))
+    wins[wins != decided] = -1
+    return wins
 
 
 def _kron_power(factor: np.ndarray, n: int) -> np.ndarray:

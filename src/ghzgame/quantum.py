@@ -5,9 +5,11 @@ hold after their conditional phase gates; it is pure parity logic with no
 floating point, so it scales to word-sized n.  Its rounds are packed uint64
 outcomes, one random word each, drawn and checked a chunk at a time; rounds
 of sampled questions come from one generator, `sampled_rounds`, which the
-bit-flip Monte Carlo consumes too.  The dense path simulates the full 2^n
-statevector gate by gate and exists as an independent cross-check oracle; a
-check of many questions runs them all in one `DenseWork`.
+bit-flip Monte Carlo consumes too.  The dense path is an independent
+cross-check oracle over the full 2^n statevector: the GHZ state has only two
+nonzero amplitudes, so the phase gates act on those two, and every qubit's
+Hadamard then acts on all 2^n entries; a check of many questions runs them
+all in one `DenseWork`.
 
 Basis indexing matches `core`: player 1's qubit is the most significant bit
 of the basis index.
@@ -61,10 +63,12 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 class DenseWork:
     """Every buffer of 2^n entries that one dense question needs, and its plan.
 
-    A check of many questions allocates one and passes it to each call, so
-    its pages are mapped once and not once per question.  The state that
-    `question_state_dense` or `apply_hadamards_dense` returns lives in the
-    workspace and stays valid until its next use.
+    A question's input is two float planes, the real and imaginary parts of
+    the phased GHZ state: zero but for the entries of |0..0> and |1..1>.
+    A check of many questions allocates one workspace and passes it to each
+    call, so its pages are mapped once and not once per question.  The
+    state that `question_state_dense` or `apply_hadamards_dense` returns
+    lives in the workspace and stays valid until its next use.
 
     The Hadamard layers are planned here, from HADAMARD_LAYER and
     HADAMARD_PRODUCT as they read when the workspace is built: each is a
@@ -77,13 +81,9 @@ class DenseWork:
         size = 1 << n
         self.n = n
         self.state = np.empty(size, dtype=np.complex128)
-        self.index = np.empty(size, dtype=np.intp)
         self.probs = np.empty(size)
         #: real and imaginary parts, twice: a Hadamard layer's input and output
         self.planes = np.empty((2, 2, size))
-        powers = _I_POWERS[np.arange(n + 1) % 4]
-        #: real and imaginary parts of i^k, k = 0..n: the phase of k input-1 qubits
-        self.powers = np.array([powers.real, powers.imag])
         both = []
         for layer, k in enumerate(_layer_widths(n)):
             src, dst = self.planes[layer % 2], self.planes[1 - layer % 2]
@@ -102,7 +102,12 @@ class DenseWork:
 def ghz_state(cfg: GameConfig, sign: int = +1) -> np.ndarray:
     """Dense statevector (1/sqrt2)(|0^n> + sign|1^n>)."""
     DENSE_LIMIT.require(cfg.n)
-    return _fill_ghz(np.empty(1 << cfg.n, dtype=np.complex128), sign)
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    amp = 1.0 / math.sqrt(2.0)
+    state = np.zeros(1 << cfg.n, dtype=np.complex128)
+    state[0], state[-1] = amp, sign * amp
+    return state
 
 
 def apply_phase_dense(state: np.ndarray, player: int) -> np.ndarray:
@@ -155,8 +160,9 @@ def question_state_dense(q: Question, work: DenseWork | None = None) -> np.ndarr
     """Pre-measurement state for a question: GHZ, then phase gates, then Hadamards.
 
     The phase gates of all players with input 1 commute, and together they
-    multiply basis state |x> by i^popcount(x & q): one diagonal.  The state
-    is built in `work` (a fresh workspace without one).
+    multiply basis state |x> by i^popcount(x & q); only x = 0..0 and 1..1
+    carry GHZ amplitude.  The state is built in `work` (a fresh workspace
+    without one).
     """
     work = _workspace(q.n, work)
     return _planes_to_state(work, _question_planes(q, work))
@@ -315,31 +321,22 @@ def _workspace(n: int, work: DenseWork | None) -> DenseWork:
     return work
 
 
-def _fill_ghz(state: np.ndarray, sign: int) -> np.ndarray:
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    state.fill(0.0)
-    amp = 1.0 / math.sqrt(2.0)
-    state[0] = amp
-    state[-1] = sign * amp
-    return state
-
-
 def _question_planes(q: Question, work: DenseWork) -> bool:
     """The question's state in `work.out`; whether its imaginary plane was transformed.
 
-    The GHZ state times the phase diagonal is written straight into the
-    input planes.  H is real, so a plane that is exactly zero stays zero and
-    is not transformed; the data decides that, never the question.
+    The GHZ state has amplitude only on |0..0> and |1..1>, so the input
+    planes are zero but for those two entries x, each the GHZ amplitude
+    times the phase i^popcount(x & q).  H is real, so a plane that is
+    exactly zero stays zero and is not transformed; the written entries
+    decide that, never the question.
     """
-    exponent = np.bitwise_and(_basis(q.n), q.bits, out=work.index)
-    np.bitwise_count(exponent, out=exponent)
-    # the output planes are free until the first layer, so the GHZ state waits there
-    ghz = _fill_ghz(work.planes[1, 0], +1)
-    # an exponent never exceeds n, so "clip" clips nothing and spares "raise"'s copy
-    for plane, power in zip(work.planes[0], work.powers):
-        np.multiply(np.take(power, exponent, mode="clip", out=plane), ghz, out=plane)
-    return _transform(work, bool(work.planes[0, 1].any()))
+    amp = 1.0 / math.sqrt(2.0)
+    planes = work.planes[0]
+    planes.fill(0.0)
+    for x in (0, (1 << q.n) - 1):
+        phase = _I_POWERS[(x & q.bits).bit_count() % 4]
+        planes[:, x] = phase.real * amp, phase.imag * amp
+    return _transform(work, bool(planes[1, 0] or planes[1, -1]))
 
 
 def _transform(work: DenseWork, imaginary: bool) -> bool:
@@ -357,17 +354,9 @@ def _planes_to_state(work: DenseWork, imaginary: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _basis(n: int) -> np.ndarray:
-    """Basis indices 0..2^n-1, shared read-only."""
-    idx = np.arange(1 << n, dtype=np.intp)
-    idx.flags.writeable = False
-    return idx
-
-
-@lru_cache(maxsize=4)
 def _flat_on_class(n: int) -> np.ndarray:
     """Row p: the probabilities of the state spread evenly over the basis indices of parity p."""
-    odd = np.bitwise_count(_basis(n)) & 1
+    odd = np.bitwise_count(np.arange(1 << n)) & 1
     flat = np.where(odd == np.arange(2)[:, None], 2.0 ** (1 - n), 0.0)
     flat.flags.writeable = False
     return flat

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -364,6 +365,20 @@ def test_report_monte_carlo_check_catches_a_biased_estimate(capsys, monkeypatch)
     assert [c["name"] for c in report["checks"] if not c["ok"]] == ["bitflip_monte_carlo_n3"]
 
 
+def test_report_closed_form_checks_catch_a_shifted_threshold(capsys, monkeypatch):
+    # each n = 3 threshold moves by twice its check's tolerance
+    def shifted(true, shift):
+        return lambda n: true(n) + shift * (n == 3)
+
+    monkeypatch.setattr(noise, "bitflip_threshold", shifted(noise.bitflip_threshold, 0.002))
+    monkeypatch.setattr(noise, "detection_threshold", shifted(noise.detection_threshold, 0.0002))
+    argv = ["report", "--quantum-trials", "5", "--mc-trials", "5000", "--format", "text"]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    failed = [line.strip() for line in out.splitlines() if "[FAIL]" in line]
+    assert failed == ["[FAIL] bitflip_threshold_n3", "[FAIL] detection_threshold_n3"]
+
+
 @pytest.mark.parametrize(
     "env,value,message",
     [
@@ -678,3 +693,14 @@ def test_grid_value_within_rounding_of_the_threshold_passes(capsys, n, p):
     (rec,) = [r for r in report["records"] if r["kind"] == "bitflip"]
     exact = (2 * Fraction(p) - 1) ** n > Fraction(2, 2 ** math.ceil(n / 2))
     assert (rec["flag"] == "quantum-wins") == exact
+
+
+def test_threshold_flag_check_skips_only_values_within_rounding(capsys, monkeypatch):
+    # a float threshold 1e-6 too high misorders a value 4e-7 above the true one;
+    # that is far outside rounding, so the consistency check must still run and fail
+    true = noise.bitflip_threshold
+    shifted = dataclasses.replace(noise.BITFLIP, threshold=lambda n: true(n) * (1 + 1e-6))
+    monkeypatch.setattr(noise, "BITFLIP", shifted)
+    code, out = run(capsys, "noise", "--n", "3", "--p", f"{true(3) * (1 + 4e-7):.12f}")
+    assert code == 2
+    assert "[FAIL] threshold_flags_consistent_n3" in out

@@ -22,6 +22,7 @@ from ghzgame.noise import (
     detection_win_prob,
     errorfree_exhaustive,
     errorfree_reference_strategy,
+    errorfree_win_table,
     is_error_free,
     winnable_questions,
 )
@@ -407,6 +408,15 @@ def test_errorfree_exhaustive_matches_itertools_oracle(n):
     assert best == want_best
     assert codes.tolist() == [index for index, _ in want]
     assert all(ExtendedStrategy.from_code(n, index).outputs == combo for index, combo in want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_errorfree_win_table_scores_every_table(n):
+    want = []
+    for code in range(9**n):
+        strat = ExtendedStrategy.from_code(n, code)
+        want.append(len(winnable_questions(strat)) if is_error_free(strat) else -1)
+    assert errorfree_win_table(n).tolist() == want
 
 
 def test_errorfree_exhaustive_n5():
